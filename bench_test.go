@@ -503,6 +503,96 @@ func benchNetworkBlockers(b *testing.B, size int, region bool) {
 	}
 }
 
+// BenchmarkWalkerTick times one walker tick — Environment.Step, then
+// Reports settling whatever the step invalidated — on a served 16-AP
+// floor: 4×4 APs on a 20 m grid over an 80 m square, 125 telemetry
+// nodes in front of each, factor-4 reuse, hysteresis roaming and eight
+// people walking at 1.4 m/s. The region case is region-scoped
+// invalidation, the stale case its stale-everything fallback. Each
+// reports the deterministic invalidation work per tick next to the wall
+// time, so a change in tick cost can be attributed to the corridor
+// geometry (rect tests, leaf cells) or to the re-evaluations it causes
+// (invalidations). Not part of the gated scaling curve: one floor is
+// built once and shared by both cases.
+func BenchmarkWalkerTick(b *testing.B) {
+	nw, env := walkerFloor(b)
+	b.ResetTimer()
+	for _, region := range []bool{true, false} {
+		name := "region"
+		if !region {
+			name = "stale"
+		}
+		b.Run(name, func(b *testing.B) {
+			nw.SetRegionInvalidation(region)
+			defer nw.SetRegionInvalidation(true)
+			env.Step(0.25) // the first tick after a toggle pays for the switch
+			nw.Reports()
+			before := nw.RegionStats()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				env.Step(0.25)
+				nw.Reports()
+			}
+			b.StopTimer()
+			st := nw.RegionStats()
+			per := func(v, v0 int) float64 { return float64(v-v0) / float64(b.N) }
+			b.ReportMetric(per(st.Regions, before.Regions), "regions/tick")
+			b.ReportMetric(per(st.Corridors, before.Corridors), "corridors/tick")
+			b.ReportMetric(per(st.RectTests, before.RectTests), "recttests/tick")
+			b.ReportMetric(per(st.LeafVisits, before.LeafVisits), "leaves/tick")
+			b.ReportMetric(per(st.NodesMarked, before.NodesMarked), "marked/tick")
+			b.ReportMetric(per(st.StaleAll, before.StaleAll), "staleall/tick")
+		})
+	}
+}
+
+// walkerFloor builds the served 16-AP floor BenchmarkWalkerTick ticks.
+func walkerFloor(b *testing.B) (*Network, *Environment) {
+	const side, grid, perAP = 80.0, 4, 125
+	apAt := func(k int) Pose {
+		x := (float64(k%grid) + 0.5) * side / grid
+		y := float64(k/grid)*side/grid + 1
+		return Pose{X: x, Y: y, FacingRad: math.Pi / 2}
+	}
+	env := NewEnvironment(side, side, 21)
+	nw := env.NewNetwork(apAt(0), 23)
+	for k := 1; k < grid*grid; k++ {
+		if _, err := nw.AddAP(apAt(k)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := nw.PlanReuse(4); err != nil {
+		b.Fatal(err)
+	}
+	nw.SetRoamingPolicy(&RoamPolicy{HysteresisDB: 3})
+	nw.SetLeaseTTL(0, 0)
+	rng := stats.NewRNG(25)
+	// Nodes 1.5–9 m in front of their AP, within ±60° of boresight.
+	near := func(ap Pose, rMin, rMax float64) (x, y float64) {
+		r := math.Sqrt(rng.Uniform(rMin*rMin, rMax*rMax))
+		th := ap.FacingRad + rng.Uniform(-math.Pi/3, math.Pi/3)
+		return ap.X + r*math.Cos(th), ap.Y + r*math.Sin(th)
+	}
+	id := uint32(1)
+	for k := 0; k < grid*grid; k++ {
+		ap := apAt(k)
+		for i := 0; i < perAP; i++ {
+			x, y := near(ap, 1.5, 9)
+			if _, err := nw.Join(id, Facing(x, y, ap.X, ap.Y), 1e6, TelemetryTraffic(0.2)); err != nil {
+				b.Fatal(err)
+			}
+			id++
+		}
+	}
+	for w := 0; w < 8; w++ {
+		x, y := near(apAt(2*w), 1.5, 9)
+		heading := rng.Uniform(0, 2*math.Pi)
+		env.AddBlocker(x, y, 1.4*math.Cos(heading), 1.4*math.Sin(heading))
+	}
+	nw.Reports()
+	return nw, env
+}
+
 func BenchmarkExtScale(b *testing.B) {
 	var r experiments.ExtScaleResult
 	for i := 0; i < b.N; i++ {

@@ -11,11 +11,11 @@ import (
 // churnEvent is one planned membership change: a join carries the full
 // admission parameters, a leave only the ID.
 type churnEvent struct {
-	at     float64
-	join   bool
-	id     uint32
-	pose   channel.Pose
-	demand float64
+	at      float64
+	join    bool
+	id      uint32
+	pose    channel.Pose
+	demand  float64
 	traffic TrafficModel
 }
 

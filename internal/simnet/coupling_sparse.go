@@ -97,15 +97,12 @@ type spNode struct {
 	// the last link evaluation; interf the last interference re-sum.
 	power  float64
 	interf float64
-	// outPerAP counts, per AP index, the node's out-edges into victims
-	// served there; xpower caches the node's received power at each such
-	// foreign AP, refreshed by the eval pass whenever the count is
-	// nonzero. Both stay nil until the node's first cross-AP edge, so
+	// xap is the node's bookkeeping toward every foreign AP, indexed by
+	// AP index. It stays nil until the node's first cross-AP edge, so
 	// single-AP runs carry no per-node overhead.
-	outPerAP []int
-	xpower   []float64
-	eval     core.Evaluation
-	rep      Report
+	xap  []xSlot
+	eval core.Evaluation
+	rep  Report
 	// grid and channel-registry bookkeeping (swap-remove slots).
 	cell     int
 	cellSlot int
@@ -113,12 +110,29 @@ type spNode struct {
 	chanHarm int
 	chanSlot int
 	// dirty flags: queued dedups membership in the dirty list.
+	// evalStale invalidates the serving evaluation and every cross-AP
+	// power. Region invalidation is finer: servStale invalidates only
+	// the serving evaluation, and xStale records that some xap[a].stale
+	// is set.
 	sumDirty  bool
 	evalStale bool
+	servStale bool
+	xStale    bool
 	queued    bool
 	// powerMoved records, within one settle, that the eval pass changed
 	// the node's received power — its victims must re-sum.
 	powerMoved bool
+}
+
+// xSlot is a node's view of one foreign AP a: out counts its out-edges
+// into victims served at a, and power caches its received power at a,
+// refreshed by the eval pass whenever out is nonzero. stale marks power
+// alone invalidated (a blocker crossed one of its paths toward a), so
+// the eval pass re-traces that one link instead of the whole node.
+type xSlot struct {
+	power float64
+	out   int32
+	stale bool
 }
 
 // chanState is the registry entry for one channel center: its occupants
@@ -188,6 +202,13 @@ type sparseState struct {
 	sweptScratch    []channel.SweptRegion
 	corridorScratch []corridor
 	wallScratch     []channel.Wall
+
+	// occ is the per-AP occupancy index region invalidation prunes with
+	// (region.go): nAPs summed-area tables of (nx+1)×(ny+1) counts,
+	// row-major, rebuilt per synced batch of swept regions; occTotal
+	// holds each AP's whole-grid count.
+	occ      []int32
+	occTotal []int32
 }
 
 // enterSparse builds the sparse core for the current membership and
@@ -552,19 +573,49 @@ func (s *sparseState) markEvalStale(n *Node) {
 	s.markDirty(n)
 }
 
+// markStaleFor invalidates only what node n caches about AP a: its
+// serving evaluation when a serves it, otherwise its received power at
+// a. The latter queues n for the eval pass without re-summing its own
+// interference row — only n's victims care, and the eval pass queues
+// them if the power moved.
+func (s *sparseState) markStaleFor(n *Node, a int) {
+	if a == n.apIndex() {
+		n.sp.servStale = true
+		s.markDirty(n)
+		return
+	}
+	n.sp.xap[a].stale = true
+	n.sp.xStale = true
+	if !n.sp.queued {
+		n.sp.queued = true
+		s.dirty = append(s.dirty, n)
+	}
+}
+
+// staleFor reports whether node n's state depending on AP a is already
+// invalidated.
+func staleFor(n *Node, a int) bool {
+	if n.sp.evalStale {
+		return true
+	}
+	if a == n.apIndex() {
+		return n.sp.servStale
+	}
+	return n.sp.xap[a].stale
+}
+
 func (s *sparseState) addEdge(src, dst *Node, w float64) {
 	si := len(src.sp.out)
 	di := len(dst.sp.in)
 	src.sp.out = append(src.sp.out, outEdge{dst: dst, dstSlot: di})
 	dst.sp.in = append(dst.sp.in, inEdge{src: src, w: w, srcSlot: si})
 	if da := dst.apIndex(); da != src.apIndex() {
-		if src.sp.outPerAP == nil {
-			src.sp.outPerAP = make([]int, s.nAPs)
-			src.sp.xpower = make([]float64, s.nAPs)
+		if src.sp.xap == nil {
+			src.sp.xap = make([]xSlot, s.nAPs)
 		}
-		src.sp.outPerAP[da]++
-		if src.sp.outPerAP[da] == 1 {
-			// First victim at that AP: the source's cached xpower[da] has
+		src.sp.xap[da].out++
+		if src.sp.xap[da].out == 1 {
+			// First victim at that AP: the source's cached power there has
 			// never been computed (or went stale while unreferenced), so
 			// force an eval pass over it before the victim re-sums.
 			s.markEvalStale(src)
@@ -578,8 +629,8 @@ func (s *sparseState) addEdge(src, dst *Node, w float64) {
 // association changes (roamDetach runs under the old AP), so the AP
 // indexes seen here match the ones addEdge counted.
 func (s *sparseState) noteUnhook(src, dst *Node) {
-	if da := dst.apIndex(); da != src.apIndex() && src.sp.outPerAP != nil {
-		src.sp.outPerAP[da]--
+	if da := dst.apIndex(); da != src.apIndex() && src.sp.xap != nil {
+		src.sp.xap[da].out--
 	}
 }
 
@@ -790,12 +841,16 @@ func (s *sparseState) syncEnv(nw *Network) {
 		regions, ok := nw.Env.SweptSince(from, s.sweptScratch[:0])
 		s.sweptScratch = regions[:0]
 		if ok {
+			if len(regions) > 0 {
+				s.buildOccupancy(nw)
+			}
 			for _, r := range regions {
 				s.regionStale(nw, r)
 			}
 			return
 		}
 	}
+	nw.regionStats.StaleAll++
 	s.staleAll(nw)
 }
 
@@ -839,35 +894,43 @@ func (s *sparseState) runEvalPass(nw *Network) {
 		if nw.nodeIdx[n.ID] != n {
 			continue // left (or was replaced) while queued
 		}
-		if n.sp.evalStale {
+		if n.sp.evalStale || n.sp.servStale || n.sp.xStale {
 			work = append(work, n)
 		}
 	}
 	nw.forEachNode(len(work), func(i int) {
 		n := work[i]
-		n.sp.evalStale = false
-		oldPower := n.sp.power
-		if n.Down {
-			n.sp.power = 0
-		} else {
-			n.sp.eval = n.Link.EvaluateWithClass()
-			g := math.Max(cmplx.Abs(n.sp.eval.G0), cmplx.Abs(n.sp.eval.G1))
-			n.sp.power = g * g
+		full := n.sp.evalStale
+		serv := full || n.sp.servStale
+		n.sp.evalStale, n.sp.servStale, n.sp.xStale = false, false, false
+		moved := false
+		if serv {
+			oldPower := n.sp.power
+			if n.Down {
+				n.sp.power = 0
+			} else {
+				n.sp.eval = n.Link.EvaluateWithClass()
+				g := math.Max(cmplx.Abs(n.sp.eval.G0), cmplx.Abs(n.sp.eval.G1))
+				n.sp.power = g * g
+			}
+			moved = n.sp.power != oldPower
 		}
-		moved := n.sp.power != oldPower
-		// Refresh the node's received power at every foreign AP it has
-		// victims at (cross-shard edges). Down sources are skipped: their
-		// victims skip them in the re-sum, exactly like the serving path.
-		if n.sp.outPerAP != nil && !n.Down {
-			ai := n.apIndex()
-			for a, cnt := range n.sp.outPerAP {
-				if cnt <= 0 || a == ai {
-					continue
-				}
-				if p := nw.crossPower(n, a); p != n.sp.xpower[a] {
-					n.sp.xpower[a] = p
-					moved = true
-				}
+		// Refresh the node's received power at the foreign APs it has
+		// victims at (cross-shard edges): all of them after a full
+		// invalidation, otherwise the ones marked stale. Down sources are
+		// skipped: their victims skip them in the re-sum, exactly like
+		// the serving path.
+		ai := n.apIndex()
+		for a := range n.sp.xap {
+			x := &n.sp.xap[a]
+			stale := x.stale
+			x.stale = false
+			if x.out <= 0 || a == ai || n.Down || !(full || stale) {
+				continue
+			}
+			if p := nw.crossPower(n, a); p != x.power {
+				x.power = p
+				moved = true
 			}
 		}
 		n.sp.powerMoved = moved
@@ -927,9 +990,9 @@ func (s *sparseState) finishNode(n *Node) {
 		p := e.src.sp.power
 		if e.src.apIndex() != vi {
 			// Cross-shard source: its power at THIS victim's AP, not at
-			// its own serving AP. The eval pass keeps xpower[vi] fresh for
-			// as long as the edge exists (outPerAP[vi] > 0).
-			p = e.src.sp.xpower[vi]
+			// its own serving AP. The eval pass keeps xap[vi].power fresh
+			// for as long as the edge exists (xap[vi].out > 0).
+			p = e.src.sp.xap[vi].power
 		}
 		interf += p * e.w
 	}

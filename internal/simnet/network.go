@@ -162,6 +162,9 @@ type Network struct {
 	// benchmarks and equivalence tests can measure the region path against
 	// its own baseline.
 	DisableRegionInvalidation bool
+	// regionStats accumulates the sparse core's invalidation work over
+	// the network's life (RegionStats).
+	regionStats RegionStats
 	// sparse is the live sparse coupling state, nil while dense.
 	sparse *sparseState
 	// evalScratch and powerScratch are the dense evaluation path's
@@ -810,7 +813,7 @@ func (nw *Network) EvaluateSINRInto(out []Report) []Report {
 		if cap(nw.xpowerScratch) < nAPs*n {
 			nw.xpowerScratch = make([]float64, nAPs*n)
 		}
-		xp = nw.xpowerScratch[: nAPs*n]
+		xp = nw.xpowerScratch[:nAPs*n]
 	}
 	nw.forEachNode(n, func(i int) {
 		node := nw.Nodes[i]

@@ -30,6 +30,18 @@ import (
 // whole unfolded segment instead of the exact leg subsegments is a
 // further conservative superset.
 //
+// Corridors are per AP, and so is the set of nodes a corridor can touch.
+// A node's cached state depends on AP a in exactly two places: sp.eval
+// when a is its serving AP, and sp.xap[a].power while xap[a].out > 0
+// (the eval pass refreshes the power only for those APs, and addEdge
+// forces an eval on the 0→1 transition of xap[a].out, so a skipped slot
+// is never read stale). Roam candidates are evaluated fresh through
+// crossLink and cache nothing. A corridor toward AP a therefore only
+// tests nodes relevant to a — served there or interfering there — and
+// a hit invalidates only the state that depends on a (markStaleFor): a
+// node whose serving paths the walker missed keeps its evaluation even
+// when one of its interference paths toward a neighbour AP was crossed.
+//
 // The grid turns the per-node test into a per-cell one: for every node
 // position p in a rectangle, segment(p, apex) lies inside the convex
 // fan hull(rect ∪ {apex}), whose boundary is covered by the rect's four
@@ -39,6 +51,38 @@ import (
 // are exact segment arithmetic, so a quadtree-style descent over the
 // grid prunes whole subrectangles the corridor provably cannot touch
 // and visits O(affected cells) instead of all 16384 per corridor.
+//
+// Before any geometry, the descent asks a per-AP occupancy index how
+// many not-yet-stale nodes relevant to the corridor's AP the
+// subrectangle holds; an empty one returns at once. On a served floor
+// most cells near a corridor belong to other APs' coverage, so this
+// prunes far more than the geometry does.
+
+// RegionStats counts the work of region-scoped blockage invalidation.
+// Every counter is bumped on the serial syncEnv path, so a fixed-seed
+// run reports the same numbers at any worker count — a machine-
+// independent measure of how much geometry a walker tick costs.
+type RegionStats struct {
+	// Regions counts swept capsules mapped onto the grid; Corridors the
+	// per-AP unfolded corridors descended for them.
+	Regions, Corridors int
+	// RectTests counts corridor-versus-rectangle geometry tests
+	// (nearRect), LeafVisits the grid cells whose nodes were tested one
+	// by one, and NodesMarked the invalidations those tests made — one
+	// per node and AP whose state the node caches (markStaleFor).
+	RectTests, LeafVisits, NodesMarked int
+	// StaleAll counts environment changes answered by re-evaluating the
+	// whole membership instead: region invalidation turned off, or the
+	// blocker log no longer reaching back to the last sync.
+	StaleAll int
+}
+
+// RegionStats returns the region-invalidation work counters accumulated
+// over the network's life. They live on the network rather than on
+// RunStats so a run's statistics (and any digest of them) stay exactly
+// the simulated outcome; take the difference of two snapshots to scope
+// them to a run or a tick.
+func (nw *Network) RegionStats() RegionStats { return nw.regionStats }
 
 // sweptSlack pads the corridor admission radius. The blockage indicator
 // and the corridor tests run different (individually exact) float
@@ -48,16 +92,16 @@ import (
 // any physical blocker radius.
 const sweptSlack = 1e-6
 
-
 // corridor is one unfolded propagation geometry (direct, or via one or
 // two reflection walls): the mirrored-AP apex, the capsule variant to
 // test each leg against, and each variant's angular sector from the apex
 // (the cheap prune the quadtree descent tries before exact segment
 // arithmetic).
 type corridor struct {
-	apex  channel.Vec2
-	caps  [3]channel.SweptRegion
-	secs  [3]sector
+	ap   int // index of the AP whose mirrored image is the apex
+	apex channel.Vec2
+	caps [3]channel.SweptRegion
+	secs [3]sector
 	// gates are the unfolded reflecting walls (w1, then M1(w2)) that
 	// segment(node, apex) must actually cross for this corridor's path
 	// to exist. Path existence is pure geometry — blockers only add
@@ -138,8 +182,8 @@ func (sc *sector) admitsPoint(apex, p channel.Vec2) bool {
 	return rx*sc.n1.X+ry*sc.n1.Y >= 0 && rx*sc.n2.X+ry*sc.n2.Y >= 0
 }
 
-func newCorridor(apex channel.Vec2, caps [3]channel.SweptRegion, n int, gates ...channel.Segment) corridor {
-	co := corridor{apex: apex, caps: caps, nCaps: n, nGates: len(gates)}
+func newCorridor(ap int, apex channel.Vec2, caps [3]channel.SweptRegion, n int, gates ...channel.Segment) corridor {
+	co := corridor{ap: ap, apex: apex, caps: caps, nCaps: n, nGates: len(gates)}
 	for c := 0; c < n; c++ {
 		co.secs[c] = makeSector(apex, caps[c])
 	}
@@ -155,70 +199,152 @@ func mirrorRegion(w channel.Segment, k channel.SweptRegion) channel.SweptRegion 
 	return channel.SweptRegion{Seg: mirrorSeg(w, k.Seg), Radius: k.Radius}
 }
 
-// buildCorridors enumerates the unfolded corridors for swept region k,
-// mirroring appendPaths' path set: the direct segment, one bounce off
-// every wall, and every ordered wall pair up to MaxReflections — once
-// per AP apex, because a node's cached evaluations include its serving
-// link and any cross-AP interference links, and a blocker crossing a
-// path toward ANY AP can change one of them. Paths the enumeration
-// would reject (reflection point off the wall, wrong side) only shrink
-// the true affected set, so including their corridors unconditionally
-// is conservative.
-func (s *sparseState) buildCorridors(nw *Network, k channel.SweptRegion) []corridor {
+// buildCorridors enumerates the unfolded corridors toward AP a for
+// swept region k, mirroring appendPaths' path set over walls (outer and
+// interior): the direct segment, one bounce off every wall, and every
+// ordered wall pair up to MaxReflections. Paths the enumeration would
+// reject (reflection point off the wall, wrong side) only shrink the
+// true affected set, so including their corridors unconditionally is
+// conservative.
+func (s *sparseState) buildCorridors(nw *Network, k channel.SweptRegion, a int, walls []channel.Wall) []corridor {
 	out := s.corridorScratch[:0]
-	room := nw.Env.Room
-	walls := s.wallScratch[:0]
-	walls = append(walls, room.Walls...)
-	walls = append(walls, room.Interior...)
-	s.wallScratch = walls
-	for _, a := range nw.APs {
-		ap := a.Pose.Pos
-		out = append(out, newCorridor(ap, [3]channel.SweptRegion{k}, 1))
-		if nw.Env.MaxReflections < 1 {
+	if nw.Env.MaxReflections < 1 {
+		walls = nil
+	}
+	ap := nw.APs[a].Pose.Pos
+	out = append(out, newCorridor(a, ap, [3]channel.SweptRegion{k}, 1))
+	for i := range walls {
+		w1 := walls[i].Seg
+		// Single bounce off w1: legs node→rp and rp→AP unfold onto
+		// node→M₁(AP); the second leg's image needs the mirrored capsule.
+		k1 := mirrorRegion(w1, k)
+		out = append(out, newCorridor(a, w1.MirrorAcross(ap), [3]channel.SweptRegion{k, k1}, 2, w1))
+		if nw.Env.MaxReflections < 2 {
 			continue
 		}
-		for i := range walls {
-			w1 := walls[i].Seg
-			// Single bounce off w1: legs node→rp and rp→AP unfold onto
-			// node→M₁(AP); the second leg's image needs the mirrored capsule.
-			k1 := mirrorRegion(w1, k)
-			out = append(out, newCorridor(w1.MirrorAcross(ap), [3]channel.SweptRegion{k, k1}, 2, w1))
-			if nw.Env.MaxReflections < 2 {
+		for j := range walls {
+			if j == i {
 				continue
 			}
-			for j := range walls {
-				if j == i {
-					continue
-				}
-				w2 := walls[j].Seg
-				// Double bounce w1 then w2 (node side first, matching
-				// reflectionPoints2): apex M₁(M₂(AP)), legs test against
-				// K, M₁(K), M₁(M₂(K)).
-				out = append(out, newCorridor(
-					w1.MirrorAcross(w2.MirrorAcross(ap)),
-					[3]channel.SweptRegion{k, k1, mirrorRegion(w1, mirrorRegion(w2, k))}, 3,
-					w1, mirrorSeg(w1, w2)))
-			}
+			w2 := walls[j].Seg
+			// Double bounce w1 then w2 (node side first, matching
+			// reflectionPoints2): apex M₁(M₂(AP)), legs test against
+			// K, M₁(K), M₁(M₂(K)).
+			out = append(out, newCorridor(a,
+				w1.MirrorAcross(w2.MirrorAcross(ap)),
+				[3]channel.SweptRegion{k, k1, mirrorRegion(w1, mirrorRegion(w2, k))}, 3,
+				w1, mirrorSeg(w1, w2)))
 		}
 	}
 	s.corridorScratch = out
 	return out
 }
 
-// regionStale marks evalStale every node some propagation path of which
-// can cross the swept region — the region-scoped replacement for the
-// stale-everything epoch response.
+// regionStale invalidates every cached evaluation some propagation path
+// of which can cross the swept region — the region-scoped replacement
+// for the stale-everything epoch response. Corridors are built and
+// descended one AP at a time, and only toward APs with at least one
+// relevant node left to mark. The occupancy index must be current
+// (buildOccupancy).
 func (s *sparseState) regionStale(nw *Network, k channel.SweptRegion) {
-	for i := range s.buildCorridors(nw, k) {
-		co := &s.corridorScratch[i]
-		s.descend(co, 0, 0, s.nx, s.ny)
+	nw.regionStats.Regions++
+	room := nw.Env.Room
+	walls := append(append(s.wallScratch[:0], room.Walls...), room.Interior...)
+	s.wallScratch = walls
+	for a := range nw.APs {
+		if s.occTotal[a] == 0 {
+			continue
+		}
+		for i := range s.buildCorridors(nw, k, a, walls) {
+			nw.regionStats.Corridors++
+			s.descend(nw, &s.corridorScratch[i], 0, 0, s.nx, s.ny)
+		}
 	}
 }
 
+// relevantTo reports whether node n caches state that depends on AP a:
+// its serving evaluation, or its received power there while it has
+// victims at a.
+func relevantTo(n *Node, a int) bool {
+	return n.apIndex() == a || (n.sp.xap != nil && n.sp.xap[a].out > 0)
+}
+
+// buildOccupancy rebuilds the per-AP occupancy index: for each AP, a
+// summed-area table over the grid counting the not-yet-stale nodes
+// relevant to it. One O(n + nAPs·cells) pass per synced batch of swept
+// regions; the int32 buffer is kept across ticks. Nodes marked stale
+// while the batch is processed stay counted, which only costs a
+// descent that finds nothing to mark.
+func (s *sparseState) buildOccupancy(nw *Network) {
+	w := s.nx + 1
+	stride := w * (s.ny + 1)
+	if need := s.nAPs * stride; len(s.occ) != need {
+		s.occ = make([]int32, need)
+		s.occTotal = make([]int32, s.nAPs)
+	} else {
+		clear(s.occ)
+		clear(s.occTotal)
+	}
+	for _, n := range nw.Nodes {
+		// Cell (ix, iy) lands at SAT entry (ix+1, iy+1).
+		at := (n.sp.cell/s.nx+1)*w + n.sp.cell%s.nx + 1
+		ai := n.apIndex()
+		if !staleFor(n, ai) {
+			s.occ[ai*stride+at]++
+			s.occTotal[ai]++
+		}
+		for a := range n.sp.xap {
+			if a != ai && n.sp.xap[a].out > 0 && !staleFor(n, a) {
+				s.occ[a*stride+at]++
+				s.occTotal[a]++
+			}
+		}
+	}
+	for a := 0; a < s.nAPs; a++ {
+		if s.occTotal[a] == 0 {
+			continue
+		}
+		t := s.occ[a*stride : (a+1)*stride]
+		for iy := 1; iy <= s.ny; iy++ {
+			prev, row := t[(iy-1)*w:iy*w], t[iy*w:(iy+1)*w]
+			var run int32
+			for ix := 1; ix < w; ix++ {
+				run += row[ix]
+				row[ix] = prev[ix] + run
+			}
+		}
+	}
+}
+
+// occupancy returns how many nodes the occupancy index counted for AP a
+// in the cell rectangle [ix0, ix0+w) × [iy0, iy0+h).
+func (s *sparseState) occupancy(a, ix0, iy0, w, h int) int32 {
+	sw := s.nx + 1
+	t := s.occ[a*sw*(s.ny+1):]
+	x1, y1 := ix0+w, iy0+h
+	return t[y1*sw+x1] - t[iy0*sw+x1] - t[y1*sw+ix0] + t[iy0*sw+ix0]
+}
+
+// directNodes is the occupancy at or below which the descent stops
+// testing rectangles against the corridor and tests the few nodes inside
+// one by one: a node test costs a leg or two of segment arithmetic, a
+// rectangle test up to eight segments per capsule variant, so past this
+// point further geometric pruning costs more than it saves.
+const directNodes = 8
+
 // descend walks the grid quadtree-style over the cell-index rectangle
-// [ix0, ix0+w) × [iy0, iy0+h), pruning subrectangles the corridor
-// cannot reach and testing each node in surviving leaf cells exactly.
-func (s *sparseState) descend(co *corridor, ix0, iy0, w, h int) {
+// [ix0, ix0+w) × [iy0, iy0+h), pruning subrectangles that hold no node
+// relevant to the corridor's AP or that the corridor cannot reach, and
+// testing the relevant nodes of sparsely occupied ones exactly.
+func (s *sparseState) descend(nw *Network, co *corridor, ix0, iy0, w, h int) {
+	cnt := s.occupancy(co.ap, ix0, iy0, w, h)
+	if cnt == 0 {
+		return
+	}
+	if cnt <= directNodes {
+		s.testNodes(nw, co, ix0, iy0, w, h)
+		return
+	}
 	x0 := float64(ix0) * s.cellW
 	y0 := float64(iy0) * s.cellH
 	x1 := float64(ix0+w) * s.cellW
@@ -240,28 +366,51 @@ func (s *sparseState) descend(co *corridor, ix0, iy0, w, h int) {
 	if iy0+h == s.ny {
 		y1 = math.Max(y1, s.bbMax.Y)
 	}
+	nw.regionStats.RectTests++
 	if !co.nearRect(x0, y0, x1, y1) {
 		return
 	}
+	switch {
+	case w == 1 && h == 1:
+		s.testNodes(nw, co, ix0, iy0, 1, 1)
+	case w >= h:
+		s.descend(nw, co, ix0, iy0, w/2, h)
+		s.descend(nw, co, ix0+w/2, iy0, w-w/2, h)
+	default:
+		s.descend(nw, co, ix0, iy0, w, h/2)
+		s.descend(nw, co, ix0, iy0+h/2, w, h-h/2)
+	}
+}
+
+// testNodes finds the occupied cells of a rectangle by halving on the
+// occupancy index alone and tests each relevant, not yet invalidated
+// node in them against the corridor.
+func (s *sparseState) testNodes(nw *Network, co *corridor, ix0, iy0, w, h int) {
+	if s.occupancy(co.ap, ix0, iy0, w, h) == 0 {
+		return
+	}
 	if w == 1 && h == 1 {
+		nw.regionStats.LeafVisits++
 		for _, n := range s.cells[iy0*s.nx+ix0] {
-			if !n.sp.evalStale && co.nearNode(n.Pose.Pos) {
-				s.markEvalStale(n)
+			if relevantTo(n, co.ap) && !staleFor(n, co.ap) && co.nearNode(n.Pose.Pos) {
+				s.markStaleFor(n, co.ap)
+				nw.regionStats.NodesMarked++
 			}
 		}
 		return
 	}
 	if w >= h {
-		s.descend(co, ix0, iy0, w/2, h)
-		s.descend(co, ix0+w/2, iy0, w-w/2, h)
+		s.testNodes(nw, co, ix0, iy0, w/2, h)
+		s.testNodes(nw, co, ix0+w/2, iy0, w-w/2, h)
 	} else {
-		s.descend(co, ix0, iy0, w, h/2)
-		s.descend(co, ix0, iy0+h/2, w, h-h/2)
+		s.testNodes(nw, co, ix0, iy0, w, h/2)
+		s.testNodes(nw, co, ix0, iy0+h/2, w, h-h/2)
 	}
 }
 
-// nearNode is the exact per-node corridor test applied inside surviving
-// leaf cells: is segment(p, apex) within reach of any capsule variant?
+// nearNode is the exact per-node corridor test applied to every relevant
+// node the descent reaches: is segment(p, apex) within reach of any
+// capsule variant?
 // Every unfolded leg image is a subsegment of that segment, so the test
 // is still a conservative superset per leg, while far tighter than the
 // cell-level fan test when the grid cells are coarse (kilometer-scale
@@ -311,7 +460,7 @@ func (co *corridor) nearNode(p channel.Vec2) bool {
 			}
 		}
 		k := &co.caps[c]
-		if k.Seg.DistanceToSegment(leg) <= k.Radius+sweptSlack {
+		if segDist2(k.Seg, leg) <= reach2(k) {
 			return true
 		}
 	}
@@ -331,22 +480,56 @@ func (co *corridor) nearRect(x0, y0, x1, y1 float64) bool {
 			continue
 		}
 		k := &co.caps[c]
-		reach := k.Radius + sweptSlack
-		for i := 0; i < 4; i++ {
-			edge := channel.Segment{A: corners[i], B: corners[(i+1)%4]}
-			if k.Seg.DistanceToSegment(edge) <= reach {
-				return true
-			}
-			spoke := channel.Segment{A: co.apex, B: corners[i]}
-			if k.Seg.DistanceToSegment(spoke) <= reach {
-				return true
-			}
-		}
 		if fanContains(co.apex, x0, y0, x1, y1, k.Seg.A) {
 			return true
 		}
+		r2 := reach2(k)
+		for i := 0; i < 4; i++ {
+			edge := channel.Segment{A: corners[i], B: corners[(i+1)%4]}
+			if segDist2(k.Seg, edge) <= r2 {
+				return true
+			}
+			spoke := channel.Segment{A: co.apex, B: corners[i]}
+			if segDist2(k.Seg, spoke) <= r2 {
+				return true
+			}
+		}
 	}
 	return false
+}
+
+// reach2 is the squared admission radius of capsule k, widened by a
+// relative 1e-12 so comparing squared distances admits everything the
+// square-rooted comparison against Radius+sweptSlack would (the two
+// differ by a few ulps of rounding).
+func reach2(k *channel.SweptRegion) float64 {
+	r := k.Radius + sweptSlack
+	return r * r * (1 + 1e-12)
+}
+
+// segDist2 is channel.Segment.DistanceToSegment squared, computed
+// without square roots: 0 when the segments cross, otherwise the least
+// squared endpoint-to-segment distance.
+func segDist2(s, o channel.Segment) float64 {
+	if t, u, ok := s.Intersect(o); ok && t >= 0 && t <= 1 && u >= 0 && u <= 1 {
+		return 0
+	}
+	return math.Min(math.Min(pointSegDist2(s, o.A), pointSegDist2(s, o.B)),
+		math.Min(pointSegDist2(o, s.A), pointSegDist2(o, s.B)))
+}
+
+// pointSegDist2 is channel.Segment.DistanceTo squared, with the same
+// closest-point arithmetic.
+func pointSegDist2(s channel.Segment, p channel.Vec2) float64 {
+	dx, dy := s.B.X-s.A.X, s.B.Y-s.A.Y
+	l2 := dx*dx + dy*dy
+	t := 0.0
+	if l2 != 0 {
+		t = ((p.X-s.A.X)*dx + (p.Y-s.A.Y)*dy) / l2
+		t = math.Max(0, math.Min(1, t))
+	}
+	ex, ey := s.A.X+dx*t-p.X, s.A.Y+dy*t-p.Y
+	return ex*ex + ey*ey
 }
 
 // fanContains reports whether p lies inside hull(rect ∪ {apex}): either

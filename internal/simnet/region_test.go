@@ -12,7 +12,7 @@ import (
 
 // TestRegionInvalidationSoundness is the safety property of region-scoped
 // invalidation: after every environment step, every node whose link
-// evaluation actually changed must be in the invalidated (evalStale) set.
+// evaluation actually changed must have been invalidated (staleFor).
 // It drives three walkers on random-velocity walks through a room with an
 // interior partition (so the swept capsules interact with reflected and
 // penetrating corridors, not just direct lines) and cross-checks the
@@ -65,14 +65,15 @@ func TestRegionInvalidationSoundness(t *testing.T) {
 		for _, n := range nw.Nodes {
 			population++
 			fresh := n.Link.EvaluateWithClass()
+			invalidated := staleFor(n, n.apIndex())
 			if fresh != n.sp.eval {
 				changed++
-				if !n.sp.evalStale {
+				if !invalidated {
 					t.Fatalf("step %d: node %d's evaluation changed but was not invalidated\ncached %+v\nfresh  %+v",
 						step, n.ID, n.sp.eval, fresh)
 				}
 			}
-			if n.sp.evalStale {
+			if invalidated {
 				staled++
 			}
 		}
@@ -206,5 +207,174 @@ func TestFusedTickDeterminismAcrossWorkers(t *testing.T) {
 					w, s.PerNode[i].ID, baseS.PerNode[i], s.PerNode[i])
 			}
 		}
+	}
+}
+
+// TestRegionInvalidationSoundnessMultiAP is the multi-AP form of the
+// safety property, and the one the per-AP corridor filter rests on: on a
+// four-AP hall with frequency reuse and walkers crossing between the
+// APs' coverage, after every environment step
+//
+//   - every node whose serving evaluation changed has it invalidated, and
+//   - every node whose received power at a foreign AP it interferes at
+//     (xap[a].out > 0) changed has that power invalidated.
+//
+// Corridors toward AP a only test nodes served at a or interfering
+// there, and a hit invalidates only what depends on a, so a missed
+// cross-AP path would show up here as a stale interference power.
+func TestRegionInvalidationSoundnessMultiAP(t *testing.T) {
+	rng := stats.NewRNG(41)
+	room := channel.NewRoom(24, 14, rng)
+	room.AddInteriorWall(channel.Segment{
+		A: channel.Vec2{X: 12, Y: 3}, B: channel.Vec2{X: 12, Y: 11},
+	}, 8, 7)
+	env := channel.NewEnvironment(room, units.ISM24GHzCenter)
+	nw := New(env, channel.Pose{Pos: channel.Vec2{X: 0.5, Y: 3.5}}, 41)
+	for _, p := range []channel.Pose{
+		{Pos: channel.Vec2{X: 0.5, Y: 10.5}},
+		{Pos: channel.Vec2{X: 23.5, Y: 3.5}, Orientation: math.Pi},
+		{Pos: channel.Vec2{X: 23.5, Y: 10.5}, Orientation: math.Pi},
+	} {
+		if _, err := nw.AddAP(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := nw.PlanReuse(2); err != nil {
+		t.Fatal(err)
+	}
+	nw.CouplingCutoffDB = exactCutoffDB
+	nw.SetCouplingMode(CouplingSparse)
+	prng := stats.NewRNG(9)
+	for i := 1; i <= 48; i++ {
+		pos := channel.Vec2{X: prng.Uniform(1, 23), Y: prng.Uniform(1, 13)}
+		ap := nw.selectAP(pos)
+		pose := channel.Pose{Pos: pos, Orientation: ap.Pose.Pos.Sub(pos).Angle()}
+		if _, err := nw.Join(uint32(i), pose, 40e6, Telemetry(0.05)); err != nil {
+			t.Fatalf("join %d: %v", i, err)
+		}
+	}
+	for k := 0; k < 4; k++ {
+		env.AddBlocker(&channel.Blocker{
+			Pos:    channel.Vec2{X: prng.Uniform(2, 22), Y: prng.Uniform(2, 12)},
+			Radius: 0.25,
+			LossDB: 12,
+			Vel:    channel.Vec2{X: prng.Uniform(-3, 3), Y: prng.Uniform(-1, 1)},
+		})
+	}
+	nw.EvaluateSINR()
+	s := nw.sparse
+
+	const steps = 120
+	servChanged, crossChanged, staled, population := 0, 0, 0, 0
+	for step := 0; step < steps; step++ {
+		if step%30 == 29 {
+			for _, b := range env.Blockers {
+				b.Vel = channel.Vec2{X: prng.Uniform(-3, 3), Y: prng.Uniform(-1, 1)}
+			}
+		}
+		env.Step(prng.Uniform(0.02, 0.1))
+		s.syncEnv(nw)
+		for _, n := range nw.Nodes {
+			own := n.apIndex()
+			population++
+			if staleFor(n, own) {
+				staled++
+			}
+			if fresh := n.Link.EvaluateWithClass(); fresh != n.sp.eval {
+				servChanged++
+				if !staleFor(n, own) {
+					t.Fatalf("step %d: node %d's serving evaluation changed but was not invalidated", step, n.ID)
+				}
+			}
+			for a := range n.sp.xap {
+				if x := n.sp.xap[a]; x.out <= 0 || a == own {
+					continue
+				}
+				population++
+				if staleFor(n, a) {
+					staled++
+				}
+				if nw.crossPower(n, a) != n.sp.xap[a].power {
+					crossChanged++
+					if !staleFor(n, a) {
+						t.Fatalf("step %d: node %d's power at AP %d changed but was not invalidated", step, n.ID, a)
+					}
+				}
+			}
+		}
+		nw.EvaluateSINR()
+	}
+	if servChanged == 0 || crossChanged == 0 {
+		t.Fatalf("walk changed %d serving evaluations and %d cross-AP powers — the property was vacuous", servChanged, crossChanged)
+	}
+	if staled >= population {
+		t.Fatal("every dependency was invalidated on every step — region invalidation degenerated to stale-everything")
+	}
+	t.Logf("%d steps: %d serving and %d cross-AP changes, %d of %d node-AP dependencies invalidated (%.1f%%)",
+		steps, servChanged, crossChanged, staled, population, 100*float64(staled)/float64(population))
+}
+
+// TestRegionRunMatchesStaleEverythingMultiAP extends the byte-identity
+// contract to the multi-AP reference scenario — reuse, lossy control,
+// hysteresis roaming, Poisson churn, a node crash and reboot — with
+// walkers crossing between the APs: region invalidation must reproduce
+// the stale-everything run exactly, at one worker and at four, and its
+// work counters must not depend on the worker count either.
+func TestRegionRunMatchesStaleEverythingMultiAP(t *testing.T) {
+	type outcome struct {
+		fp      string
+		reports []Report
+		region  RegionStats
+	}
+	run := func(region bool, workers int) outcome {
+		nw := multiAPNetwork(t, 91, 4)
+		if err := nw.PlanReuse(2); err != nil {
+			t.Fatal(err)
+		}
+		nw.SetCouplingMode(CouplingSparse)
+		nw.DisableRegionInvalidation = !region
+		nw.Workers = workers
+		multiAPChurnPlan(t, nw, 91, 20, 8, 6)
+		nw.Env.AddBlocker(&channel.Blocker{
+			Pos: channel.Vec2{X: 5.2, Y: 1.0}, Radius: 0.3, LossDB: 12,
+			Vel: channel.Vec2{X: -1.5, Y: 0.4},
+		})
+		nw.Env.AddBlocker(&channel.Blocker{
+			Pos: channel.Vec2{X: 2.5, Y: 3.2}, Radius: 0.25, LossDB: 10,
+			Vel: channel.Vec2{X: 1.1, Y: -0.7},
+		})
+		nw.Faults = faults.NewPlan().Crash(0.3, 5).Reboot(0.7, 5)
+		st := nw.Run(1.2, 0.05, 10)
+		if st.Roams == 0 {
+			t.Fatalf("region=%v workers=%d: no roams — the walkers should dislodge at least one node", region, workers)
+		}
+		return outcome{fingerprintMultiAP(st), nw.EvaluateSINR(), nw.RegionStats()}
+	}
+	stale := run(false, 1)
+	serial := run(true, 1)
+	for workers, got := range map[int]outcome{1: serial, 4: run(true, 4)} {
+		if got.fp != stale.fp {
+			t.Fatalf("Workers=%d: region run diverged from stale-everything:\n--- region ---\n%s--- stale ---\n%s",
+				workers, got.fp, stale.fp)
+		}
+		if len(got.reports) != len(stale.reports) {
+			t.Fatalf("Workers=%d: report counts diverged: %d vs %d", workers, len(got.reports), len(stale.reports))
+		}
+		for i := range got.reports {
+			if got.reports[i] != stale.reports[i] {
+				t.Fatalf("Workers=%d: node %d reports not byte-identical\nregion %+v\nstale  %+v",
+					workers, got.reports[i].ID, got.reports[i], stale.reports[i])
+			}
+		}
+		if got.region != serial.region {
+			t.Fatalf("region counters depend on the worker count:\nWorkers=1 %+v\nWorkers=%d %+v", serial.region, workers, got.region)
+		}
+	}
+	if serial.region.Regions == 0 || serial.region.NodesMarked == 0 {
+		t.Fatalf("region run did no region work: %+v", serial.region)
+	}
+	t.Logf("region counters: %+v", serial.region)
+	if stale.region.StaleAll == 0 || stale.region.Regions != 0 {
+		t.Fatalf("stale-everything run should only count fallbacks: %+v", stale.region)
 	}
 }

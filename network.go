@@ -207,6 +207,12 @@ func (n *Network) SetRegionInvalidation(enabled bool) {
 	n.nw.DisableRegionInvalidation = !enabled
 }
 
+// RegionStats returns the deterministic work counters of blockage
+// invalidation accumulated over the network's life: swept regions,
+// corridors, rectangle tests, leaf cells, invalidations and
+// stale-everything fallbacks. Difference two snapshots to scope them.
+func (n *Network) RegionStats() RegionStats { return n.nw.RegionStats() }
+
 // SetCouplingCutoff sets the sparse core's edge-admission threshold,
 // in dB relative to each victim's noise floor: a pair whose worst-case
 // coupled power is provably below noise·10^(cutoffDB/10) is never
@@ -250,6 +256,10 @@ type NodeStats = simnet.NodeStats
 
 // RunStats mirrors simnet's run summary.
 type RunStats = simnet.RunStats
+
+// RegionStats mirrors simnet's blockage-invalidation work counters
+// (Network.RegionStats).
+type RegionStats = simnet.RegionStats
 
 // ControlStats mirrors simnet's control-plane fault accounting.
 type ControlStats = simnet.ControlStats
