@@ -185,6 +185,7 @@ func BenchmarkNetworkSINREvaluation(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+			nw.Reports() // the coupling cache is built on first read
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				nw.Reports()
@@ -515,7 +516,7 @@ func benchNetworkBlockers(b *testing.B, size int, region bool) {
 // (invalidations). Not part of the gated scaling curve: one floor is
 // built once and shared by both cases.
 func BenchmarkWalkerTick(b *testing.B) {
-	nw, env := walkerFloor(b)
+	nw, env := servedFloor(b, 8)
 	b.ResetTimer()
 	for _, region := range []bool{true, false} {
 		name := "region"
@@ -546,8 +547,32 @@ func BenchmarkWalkerTick(b *testing.B) {
 	}
 }
 
-// walkerFloor builds the served 16-AP floor BenchmarkWalkerTick ticks.
-func walkerFloor(b *testing.B) (*Network, *Environment) {
+// BenchmarkFloorBuild times building the served 16-AP floor of
+// BenchmarkWalkerTick — 2,000 joins, crossing into the sparse core at the
+// 768-node crossover — and reports the time per join next to the
+// deterministic bookkeeping work per build: dense pair kernels, dense
+// matrix floats reserved, and the sparse discovery's visited cells and
+// candidates. Nothing is evaluated during a build, so the dense counters
+// stay zero. Not part of the gated scaling curve.
+func BenchmarkFloorBuild(b *testing.B) {
+	const joins = 16 * 125 // servedFloor fails the benchmark on any failed join
+	var st CouplingStats
+	for i := 0; i < b.N; i++ {
+		nw, _ := servedFloor(b, 0)
+		st = nw.CouplingStats()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(joins*b.N), "ns/join")
+	b.ReportMetric(float64(st.DenseKernels), "densekernels/build")
+	b.ReportMetric(float64(st.DenseFloats), "densefloats/build")
+	b.ReportMetric(float64(st.DiscCells), "disccells/build")
+	b.ReportMetric(float64(st.DiscCandidates), "disccands/build")
+}
+
+// servedFloor builds the served 16-AP floor: 4×4 APs on a 20 m grid over
+// an 80 m square, 125 telemetry nodes in front of each, factor-4 reuse
+// and hysteresis roaming. With walkers > 0 it then adds that many people
+// walking at 1.4 m/s and settles the picture once.
+func servedFloor(b *testing.B, walkers int) (*Network, *Environment) {
 	const side, grid, perAP = 80.0, 4, 125
 	apAt := func(k int) Pose {
 		x := (float64(k%grid) + 0.5) * side / grid
@@ -584,7 +609,10 @@ func walkerFloor(b *testing.B) (*Network, *Environment) {
 			id++
 		}
 	}
-	for w := 0; w < 8; w++ {
+	if walkers == 0 {
+		return nw, env
+	}
+	for w := 0; w < walkers; w++ {
 		x, y := near(apAt(2*w), 1.5, 9)
 		heading := rng.Uniform(0, 2*math.Pi)
 		env.AddBlocker(x, y, 1.4*math.Cos(heading), 1.4*math.Sin(heading))

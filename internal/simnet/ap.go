@@ -61,8 +61,9 @@ func (nw *Network) AddAP(pose channel.Pose) (*AccessPoint, error) {
 	ap.Controller.LeaseTTL = nw.Control.LeaseTTLS
 	nw.APs = append(nw.APs, ap)
 	if nw.sparse != nil {
-		// The sparse core sizes its channel shards per AP; rebuild it
-		// for the grown registry (membership is empty, so this is free).
+		// The sparse core sizes its per-node cross-AP bookkeeping by the
+		// AP count; rebuild it for the grown registry (membership is
+		// empty, so this is free).
 		nw.enterSparse()
 	}
 	return ap, nil

@@ -76,7 +76,7 @@ func (rs *runState) joinNow(id uint32, pose channel.Pose, demandBps float64, tra
 	n := &Node{ID: id, Pose: pose, Demand: demandBps, Traffic: traffic}
 	n.AP = nw.selectAP(pose.Pos)
 	ap := n.AP
-	n.SDMHarmonic = ap.SDM.BestHarmonic(ap.Pose.AngleTo(pose.Pos))
+	nw.aim(n)
 	took, err := nw.handshake(n, rs.nowAt(ap))
 	if err != nil {
 		rs.joinsFailed++

@@ -140,7 +140,7 @@ func (nw *Network) handshake(n *Node, at float64) (float64, error) {
 		// every occupant's harmonic slot: place the newcomer on the
 		// channel whose occupants are farthest from its slot so the
 		// TMA can actually separate them.
-		if c, ok := nw.bestHostChannel(ap, n.SDMHarmonic, ap.Pose.AngleTo(n.Pose.Pos), n.ID); ok {
+		if c, ok := nw.bestHostChannel(ap, n); ok {
 			n.Assignment.CenterHz = c
 		}
 		// Report the final placement back so the AP's spectrum books

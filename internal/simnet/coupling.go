@@ -12,39 +12,88 @@ import (
 // The cache depends only on assignments, harmonics and poses — NOT on
 // blocker motion — so EvaluateSINR reuses it across environment steps.
 //
-// Membership and assignment changes maintain the cache incrementally:
-// a join appends one row and column (O(n) pair computations), a leave
-// compacts one row and column out, and a promotion or renew re-sync
-// recomputes the affected node's row and column in place. The full
-// rebuild (ensureCoupling) stays as the dirty-flag fallback — MoveNode
-// and any state the incremental paths cannot trust route through it —
-// and the incremental results are golden-tested equal to a from-scratch
-// rebuild.
+// The matrix is built on first read: a network starts with it unbuilt
+// (couplingDirty), so joins, leaves and updates before the first dense
+// evaluation do no pair or matrix work at all, and a network that
+// crosses into the sparse core before its first evaluation never builds
+// one. The first evaluation runs the full parallel rebuild
+// (ensureCoupling); from then on membership and assignment changes
+// maintain the cache incrementally: a join appends one row and column
+// (O(n) pair computations, storage grown by doubling), a leave compacts
+// one row and column out, and a promotion, renew re-sync or move
+// recomputes the affected node's row and column in place. The
+// incremental results are golden-tested equal to a from-scratch rebuild.
+//
+// Every hook here first maintains the host-channel index (hostchan.go),
+// which both engines share, then the live engine's own state.
 
-// gainTableFor returns node n's TMA harmonic gain table at its angle of
-// arrival at its serving AP — the table the pair kernel reads when n is
-// the interferer of a same-AP co-channel pair.
-func (nw *Network) gainTableFor(n *Node) []complex128 {
-	ap := nw.hostAP(n)
-	return ap.SDM.GainTable(ap.Pose.AngleTo(n.Pose.Pos))
+// CouplingStats counts interference-bookkeeping work over a network's
+// life. Every count is bumped on a serial path (or derived from the
+// membership size), so it is identical at any worker count.
+type CouplingStats struct {
+	// DenseKernels counts pair kernels run to fill the dense matrix.
+	DenseKernels int
+	// DenseAllocs counts dense matrix allocations; DenseFloats the
+	// float64 slots they reserved.
+	DenseAllocs int
+	DenseFloats int
+	// DiscCells counts occupied grid cells the sparse core's disc
+	// queries visited; DiscCandidates the nodes those cells held, each
+	// handed to the exact admission test.
+	DiscCells      int
+	DiscCandidates int
 }
 
-// invalidateCoupling marks the cached coupling matrix stale, forcing a
-// full rebuild on the next evaluation. MoveNode calls it (a pose change
-// stales the node's harmonic gain table); blocker motion (Env.Step) does
-// not, because coupling depends only on assignments, harmonics and
-// poses.
-func (nw *Network) invalidateCoupling() { nw.couplingDirty = true }
+// CouplingStats returns the interference-bookkeeping work counters
+// accumulated over the network's life.
+func (nw *Network) CouplingStats() CouplingStats { return nw.couplingStats }
+
+// aclrCache holds the linear leakage factors FromDB(−dB) of the two ACLR
+// classes together with the dB values they were derived from, so the
+// pair kernel pays no pow per frequency-separated pair.
+type aclrCache struct {
+	ok           bool
+	adjDB, farDB float64
+	adj, far     float64
+}
+
+// refreshACLR re-derives the cache when ACLRAdjacentDB or ACLRFarDB
+// changed since it was filled. It runs on serial paths only (the join
+// hook and the top of the rebuild), never inside a worker fan-out.
+func (nw *Network) refreshACLR() {
+	c := &nw.aclr
+	if !c.ok || c.adjDB != nw.ACLRAdjacentDB || c.farDB != nw.ACLRFarDB {
+		*c = aclrCache{
+			ok:    true,
+			adjDB: nw.ACLRAdjacentDB, farDB: nw.ACLRFarDB,
+			adj: units.FromDB(-nw.ACLRAdjacentDB), far: units.FromDB(-nw.ACLRFarDB),
+		}
+	}
+}
+
+// aclrFactor returns FromDB(−db), served from the cache when db is one of
+// the cached class values — bit-identical either way.
+func (nw *Network) aclrFactor(db float64) float64 {
+	if c := &nw.aclr; c.ok {
+		switch db {
+		case c.adjDB:
+			return c.adj
+		case c.farDB:
+			return c.far
+		}
+	}
+	return units.FromDB(-db)
+}
 
 // pairCouplingLinear returns the linearized coupling factor
 // FromDB(−couplingDB(node, other)) — how much of other's power lands in
-// node's receiver — using other's precomputed harmonic gain table. It is
-// the single pair kernel shared by the full rebuild and every
-// incremental update, so the two paths are bit-identical by
+// node's receiver — using other's indexed harmonic gain table. It is
+// the single pair kernel shared by the full rebuild, every incremental
+// update and the sparse core, so all paths are bit-identical by
 // construction.
-func (nw *Network) pairCouplingLinear(node, other *Node, tblOther []complex128) float64 {
+func (nw *Network) pairCouplingLinear(node, other *Node) float64 {
 	if c, ok := nw.freqCouplingDB(node, other); ok {
-		return units.FromDB(-c)
+		return nw.aclrFactor(c)
 	}
 	if node.apIndex() != other.apIndex() {
 		// Cross-AP co-channel: the interferer is not part of the victim
@@ -56,31 +105,46 @@ func (nw *Network) pairCouplingLinear(node, other *Node, tblOther []complex128) 
 		return 1 // full collision, 0 dB
 	}
 	maxM := nw.SDM.MaxHarmonic()
-	own := cmplx.Abs(tblOther[other.SDMHarmonic+maxM])
-	leak := cmplx.Abs(tblOther[node.SDMHarmonic+maxM])
+	tbl := other.hc.tbl
+	own := cmplx.Abs(tbl[other.SDMHarmonic+maxM])
+	leak := cmplx.Abs(tbl[node.SDMHarmonic+maxM])
 	return units.FromDB(-tmaSuppressionDB(own, leak))
 }
 
-// couplingValid reports whether the cached matrix and gain tables are
-// trustworthy for a membership of size n — the precondition every
-// incremental update checks before touching the cache. A live sparse
-// core maintains its own incremental state, so it always counts as
-// valid.
+// couplingValid reports whether the cached matrix is trustworthy for a
+// membership of size n — the precondition every incremental update
+// checks before touching the cache. A live sparse core maintains its own
+// incremental state, so it always counts as valid.
 func (nw *Network) couplingValid(n int) bool {
 	if nw.sparse != nil {
 		return true
 	}
-	return !nw.couplingDirty && len(nw.coupling) == n*n && len(nw.couplingTables) == n
+	return !nw.couplingDirty && len(nw.coupling) == n*n
+}
+
+// couplingStorage returns the matrix storage resliced to size floats.
+// When it must grow, the capacity at least doubles, so a membership
+// growing one join at a time reallocates O(log n) times, not per join.
+// Callers overwrite (or re-stride) every live entry.
+func (nw *Network) couplingStorage(size int) []float64 {
+	if cap(nw.coupling) >= size {
+		return nw.coupling[:size]
+	}
+	c := 2 * cap(nw.coupling)
+	if c < size {
+		c = size
+	}
+	nw.couplingStats.DenseAllocs++
+	nw.couplingStats.DenseFloats += c
+	return make([]float64, size, c)
 }
 
 // ensureCoupling rebuilds the cached coupling matrix if it was
-// invalidated (or never built). The rebuild precomputes each node's full
-// TMA harmonic gain table at its angle of arrival once (tma.GainTable),
-// so the n² pair fill does table lookups instead of re-summing the array
-// response per pair, and stores each entry already linearized
-// (FromDB(−dB)) so the per-call interference sum pays no dB conversion.
-// The gain tables are kept (couplingTables) so membership changes can
-// update the matrix incrementally instead of re-running this O(n²) pass.
+// invalidated (or never built). Each node's TMA gain table is already
+// on its host-channel index entry, so the n² pair fill does table
+// lookups instead of re-summing the array response per pair, and each
+// entry is stored already linearized (FromDB(−dB)) so the per-call
+// interference sum pays no dB conversion.
 func (nw *Network) ensureCoupling() {
 	if nw.sparse != nil {
 		return
@@ -89,19 +153,8 @@ func (nw *Network) ensureCoupling() {
 	if nw.couplingValid(n) {
 		return
 	}
-	if cap(nw.coupling) < n*n {
-		nw.coupling = make([]float64, n*n)
-	} else {
-		nw.coupling = nw.coupling[:n*n]
-	}
-	if cap(nw.couplingTables) < n {
-		nw.couplingTables = make([][]complex128, n)
-	} else {
-		nw.couplingTables = nw.couplingTables[:n]
-	}
-	nw.forEachNode(n, func(j int) {
-		nw.couplingTables[j] = nw.gainTableFor(nw.Nodes[j])
-	})
+	nw.refreshACLR()
+	nw.coupling = nw.couplingStorage(n * n)
 	nw.forEachNode(n, func(i int) {
 		node := nw.Nodes[i]
 		row := nw.coupling[i*n : (i+1)*n]
@@ -110,25 +163,29 @@ func (nw *Network) ensureCoupling() {
 				row[j] = 0 // unused: the interference sum skips i==j
 				continue
 			}
-			row[j] = nw.pairCouplingLinear(node, nw.Nodes[j], nw.couplingTables[j])
+			row[j] = nw.pairCouplingLinear(node, nw.Nodes[j])
 		}
 	})
+	nw.couplingStats.DenseKernels += n * (n - 1)
 	nw.couplingDirty = false
 }
 
-// couplingAddNode extends the cache for a node just appended to
-// nw.Nodes: the existing rows are re-strided in place and only the new
-// node's row and column are computed — O(n) pair kernels plus one gain
-// table, instead of the O(n²) full rebuild. With an untrusted cache it
-// degrades to the dirty flag.
+// couplingAddNode indexes the node just appended to nw.Nodes and extends
+// the live engine for it. A live dense cache has its existing rows
+// re-strided in place (into doubled storage when it must grow) and only
+// the new node's row and column computed — O(n) pair kernels instead of
+// the O(n²) full rebuild; an unbuilt cache stays unbuilt.
 func (nw *Network) couplingAddNode() {
 	n := len(nw.Nodes)
+	newcomer := nw.Nodes[n-1]
+	nw.refreshACLR()
+	nw.hosts.register(newcomer)
 	if nw.sparse == nil && nw.couplingMode == CouplingAuto && n >= sparseCrossover {
 		nw.enterSparse() // builds state for the full membership, newcomer included
 		return
 	}
 	if nw.sparse != nil {
-		nw.sparse.addNode(nw, nw.Nodes[n-1])
+		nw.sparse.addNode(nw, newcomer)
 		return
 	}
 	old := n - 1
@@ -137,7 +194,7 @@ func (nw *Network) couplingAddNode() {
 		return
 	}
 	if cap(nw.coupling) < n*n {
-		grown := make([]float64, n*n)
+		grown := nw.couplingStorage(n * n)
 		for i := 0; i < old; i++ {
 			copy(grown[i*n:i*n+old], nw.coupling[i*old:(i+1)*old])
 		}
@@ -150,25 +207,24 @@ func (nw *Network) couplingAddNode() {
 			copy(nw.coupling[i*n:i*n+old], nw.coupling[i*old:(i+1)*old])
 		}
 	}
-	newcomer := nw.Nodes[old]
-	tbl := nw.gainTableFor(newcomer)
-	nw.couplingTables = append(nw.couplingTables, tbl)
 	row := nw.coupling[old*n : n*n]
 	for j := 0; j < old; j++ {
-		row[j] = nw.pairCouplingLinear(newcomer, nw.Nodes[j], nw.couplingTables[j])
-		nw.coupling[j*n+old] = nw.pairCouplingLinear(nw.Nodes[j], newcomer, tbl)
+		row[j] = nw.pairCouplingLinear(newcomer, nw.Nodes[j])
+		nw.coupling[j*n+old] = nw.pairCouplingLinear(nw.Nodes[j], newcomer)
 	}
 	row[old] = 0
+	nw.couplingStats.DenseKernels += 2 * old
 }
 
-// couplingRemoveNode compacts row and column k out of the cache after
-// leaver (formerly at index k) was removed from nw.Nodes. The dense path
-// is pure memory moves — no pair kernel runs; the sparse path unhooks
-// the leaver's adjacency. With an untrusted cache it degrades to the
-// dirty flag.
+// couplingRemoveNode drops leaver (formerly at index k of nw.Nodes) from
+// the index and the live engine. The dense path compacts row and column
+// k out of the cache — pure memory moves, no pair kernel; the sparse
+// path unhooks the leaver's adjacency. With an untrusted cache it
+// degrades to the dirty flag.
 func (nw *Network) couplingRemoveNode(leaver *Node, k int) {
+	nw.hosts.unregister(leaver)
 	if nw.sparse != nil {
-		nw.sparse.removeNode(nw, leaver)
+		nw.sparse.removeNode(leaver)
 		return
 	}
 	old := len(nw.Nodes) + 1
@@ -193,51 +249,38 @@ func (nw *Network) couplingRemoveNode(leaver *Node, k int) {
 		}
 	}
 	nw.coupling = nw.coupling[:n*n]
-	nw.couplingTables = append(nw.couplingTables[:k], nw.couplingTables[k+1:]...)
 }
 
-// couplingUpdateNode recomputes one live node's row and column after its
-// assignment or SDM role changed (promotion, renew re-sync, reboot
-// rejoin) — the node's pose is unchanged, so its cached gain table stays
-// valid and the update is O(n). The target's index comes from its
-// maintained idx field, not the O(n) membership scan earlier revisions
-// paid per update. With an untrusted cache (or a node not in the
-// membership list) it degrades to the dirty flag.
+// couplingUpdateNode re-indexes one live node after its assignment or
+// SDM role changed (promotion, renew re-sync, reboot rejoin) and updates
+// the live engine — for the dense cache, the node's row and column.
 func (nw *Network) couplingUpdateNode(target *Node) {
+	nw.hosts.reregister(target)
 	if nw.sparse != nil {
 		nw.sparse.updateNode(nw, target)
 		return
 	}
-	n := len(nw.Nodes)
-	if !nw.couplingValid(n) {
-		nw.couplingDirty = true
-		return
-	}
-	i := target.idx
-	if i < 0 || i >= n || nw.Nodes[i] != target {
-		nw.couplingDirty = true
-		return
-	}
-	for j := 0; j < n; j++ {
-		if j == i {
-			continue
-		}
-		nw.coupling[i*n+j] = nw.pairCouplingLinear(target, nw.Nodes[j], nw.couplingTables[j])
-		nw.coupling[j*n+i] = nw.pairCouplingLinear(nw.Nodes[j], target, nw.couplingTables[i])
-	}
+	nw.denseRefreshNode(target)
 }
 
-// couplingMoveNode refreshes the cache after target's pose (and possibly
-// harmonic slot) changed: its gain table is recomputed at the new angle
-// of arrival, then its row and column are recomputed in place — O(n)
-// pair kernels instead of the full O(n²) rebuild MoveNode used to force
-// through invalidateCoupling. With an untrusted cache it degrades to the
-// dirty flag.
+// couplingMoveNode refreshes the coupling state after target's pose (and
+// possibly harmonic slot) changed; the caller has already re-aimed its
+// gain table. The dense cache recomputes the node's row and column in
+// place — O(n) pair kernels, not the full rebuild.
 func (nw *Network) couplingMoveNode(target *Node) {
+	nw.hosts.reregister(target)
 	if nw.sparse != nil {
 		nw.sparse.moveNode(nw, target)
 		return
 	}
+	nw.denseRefreshNode(target)
+}
+
+// denseRefreshNode recomputes a live node's row and column of the dense
+// cache. The target's index comes from its maintained idx field. With an
+// untrusted cache (or a node not in the membership list) it degrades to
+// the dirty flag.
+func (nw *Network) denseRefreshNode(target *Node) {
 	n := len(nw.Nodes)
 	if !nw.couplingValid(n) {
 		nw.couplingDirty = true
@@ -248,34 +291,35 @@ func (nw *Network) couplingMoveNode(target *Node) {
 		nw.couplingDirty = true
 		return
 	}
-	nw.couplingTables[i] = nw.gainTableFor(target)
 	for j := 0; j < n; j++ {
 		if j == i {
 			continue
 		}
-		nw.coupling[i*n+j] = nw.pairCouplingLinear(target, nw.Nodes[j], nw.couplingTables[j])
-		nw.coupling[j*n+i] = nw.pairCouplingLinear(nw.Nodes[j], target, nw.couplingTables[i])
+		nw.coupling[i*n+j] = nw.pairCouplingLinear(target, nw.Nodes[j])
+		nw.coupling[j*n+i] = nw.pairCouplingLinear(nw.Nodes[j], target)
 	}
+	nw.couplingStats.DenseKernels += 2 * (n - 1)
 }
 
 // roamDetach and roamAttach bracket a roam's AP switch for the coupling
-// layer. The sparse core keys per-edge bookkeeping (cross-AP out-edge
-// counters, channel-shard registration) on the node's serving AP, so the
+// layer. The index and the sparse core key their bookkeeping (channel
+// shard, cross-AP out-edge counters) on the node's serving AP, so the
 // teardown must run while the old association is still in place and the
 // re-registration after the new one (and its assignment) are: detach
-// clears edges, grid slot and shard entry; attach re-derives geometry
-// against the new AP, re-registers and rediscovers the adjacency. The
-// dense matrix carries no AP-scoped incremental state, so detach is a
-// no-op and attach is the ordinary move refresh.
+// takes the node out of the index and clears its edges and grid slot;
+// attach re-indexes it at the new AP, re-derives its power bound and
+// rediscovers the adjacency. The dense matrix carries no AP-scoped
+// incremental state, so for it attach is the ordinary row/column refresh.
 func (nw *Network) roamDetach(n *Node) {
+	nw.hosts.unregister(n)
 	if s := nw.sparse; s != nil {
 		s.clearEdges(n)
 		s.gridRemove(n)
-		s.chanUnregister(n)
 	}
 }
 
 func (nw *Network) roamAttach(n *Node) {
+	nw.hosts.register(n)
 	if s := nw.sparse; s != nil {
 		s.registerNode(nw, n)
 		s.discoverIn(nw, n)
@@ -283,7 +327,7 @@ func (nw *Network) roamAttach(n *Node) {
 		s.markEvalStale(n)
 		return
 	}
-	nw.couplingMoveNode(n)
+	nw.denseRefreshNode(n)
 }
 
 // couplingPowerChanged tells the coupling layer a node's transmit state

@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"math"
+	"math/bits"
 	"math/cmplx"
 
 	"mmx/internal/channel"
@@ -24,9 +25,10 @@ import (
 //     by a uniform grid over the room.
 //   - the PAIR's frequency-domain factor w (the same pairCouplingLinear
 //     kernel the dense matrix uses) must keep pBound·w above the
-//     threshold — the frequency screen, served by a per-channel registry
-//     (co-channel victims are the channel's occupants; other channels
-//     are screened by a conservative ACLR class bound).
+//     threshold — the frequency screen, served by the network's
+//     host-channel index (hostchan.go: co-channel victims are the
+//     channel's occupants; other channels are screened by a conservative
+//     ACLR class bound).
 //
 // Per-victim interference is always re-summed from the node's in-edge
 // list when anything feeding it changes — never maintained by scalar
@@ -82,12 +84,6 @@ type outEdge struct {
 type spNode struct {
 	in  []inEdge
 	out []outEdge
-	// tbl is the node's TMA gain table at its current angle of arrival;
-	// avec[k] is the suppression a victim listening on harmonic slot k
-	// sees from this node (tmaSuppressionDB of own vs leaked amplitude),
-	// the per-occupant vector behind the indexed bestHostChannel.
-	tbl  []complex128
-	avec []float64
 	// pBound is the conservative ceiling on the node's received power at
 	// the AP (watts) — motion-invariant until the node itself moves.
 	pBound float64
@@ -103,12 +99,9 @@ type spNode struct {
 	xap  []xSlot
 	eval core.Evaluation
 	rep  Report
-	// grid and channel-registry bookkeeping (swap-remove slots).
+	// grid bookkeeping (swap-remove slot).
 	cell     int
 	cellSlot int
-	cs       *chanState
-	chanHarm int
-	chanSlot int
 	// dirty flags: queued dedups membership in the dirty list.
 	// evalStale invalidates the serving evaluation and every cross-AP
 	// power. Region invalidation is finer: servStale invalidates only
@@ -135,33 +128,6 @@ type xSlot struct {
 	stale bool
 }
 
-// chanState is the registry entry for one channel center: its occupants
-// bucketed by harmonic slot, and the per-slot minimum of the occupants'
-// avec vectors (minA) that makes bestHostChannel O(#channels) per call.
-type chanState struct {
-	center   float64
-	maxWidth float64 // never shrunk: conservative for the class screen
-	ap       int     // owning shard: occupants are served by this AP
-	count    int
-	occ      [][]*Node
-	minA     []float64
-	// minADirty marks minA for lazy rebuild after an occupant left
-	// (removals can raise a minimum; additions only lower it).
-	minADirty bool
-	listIdx   int
-}
-
-// sparseShard is one AP's slice of the channel registry: only nodes
-// served by that AP live in its channels, so an AP's settle work and
-// bestHostChannel scan are bounded by its own coverage domain.
-// Cross-shard interference is not lost — it is admitted as ordinary
-// sparse edges between nodes of different shards (see discoverIn /
-// discoverOut), with the power term re-anchored at the victim's AP.
-type sparseShard struct {
-	chans    map[float64]*chanState
-	chanList []*chanState
-}
-
 // sparseState is the per-network sparse core. All scratch slices are
 // retained across events so a churning run stays allocation-flat once
 // warm.
@@ -169,12 +135,16 @@ type sparseState struct {
 	cut      float64 // linear edge-admission cutoff (FromDB(CouplingCutoffDB))
 	pC       float64 // pBound numerator: power ≤ pC / max(d,dMin)²
 	minNoise float64 // conservative (never-raised) min noise floor
-	maxM     int
 
 	// Uniform grid over the room for audible-source disc queries.
 	nx, ny       int
 	cellW, cellH float64
 	cells        [][]*Node
+	// occBits is the grid's occupancy bitmask, rowWords words per row
+	// (bit ix of row iy set iff cells[iy*nx+ix] is non-empty), so a disc
+	// query visits occupied cells only.
+	occBits  []uint64
+	rowWords int
 	// bbMin/bbMax bound every node position ever inserted, unioned with
 	// the room rectangle. cellIndex clamps out-of-room positions into
 	// edge cells, so the region-invalidation descent (region.go) extends
@@ -183,10 +153,8 @@ type sparseState struct {
 	// that have left.
 	bbMin, bbMax channel.Vec2
 
-	// shards holds the per-AP channel registries, indexed by AP index;
 	// nAPs sizes the per-node cross-AP bookkeeping vectors.
-	shards []sparseShard
-	nAPs   int
+	nAPs int
 
 	dirty    []*Node
 	envEpoch uint64
@@ -197,8 +165,6 @@ type sparseState struct {
 
 	// scratch, reused across calls
 	evalScratch     []*Node
-	bvec            []float64
-	tblScratch      []complex128
 	sweptScratch    []channel.SweptRegion
 	corridorScratch []corridor
 	wallScratch     []channel.Wall
@@ -212,8 +178,10 @@ type sparseState struct {
 }
 
 // enterSparse builds the sparse core for the current membership and
-// releases the dense cache. One-way in auto mode: the graph stays for
-// the life of the network (or until SetCouplingMode(CouplingDense)).
+// releases the dense cache (if it was ever built). The host-channel index
+// and every node's gain table carry over as they are. One-way in auto
+// mode: the graph stays for the life of the network (or until
+// SetCouplingMode(CouplingDense)).
 func (nw *Network) enterSparse() {
 	s := newSparseState(nw)
 	nw.sparse = s
@@ -227,8 +195,7 @@ func (nw *Network) enterSparse() {
 		s.markEvalStale(n)
 	}
 	nw.coupling = nil
-	nw.couplingTables = nil
-	nw.couplingDirty = false
+	nw.couplingDirty = true
 }
 
 func newSparseState(nw *Network) *sparseState {
@@ -238,21 +205,18 @@ func newSparseState(nw *Network) *sparseState {
 		cut:      units.FromDB(nw.CouplingCutoffDB),
 		pC:       nw.sparsePowerBoundConst(),
 		minNoise: math.Inf(1),
-		maxM:     nw.SDM.MaxHarmonic(),
 		nx:       nx,
 		ny:       ny,
 		cellW:    room.Width / float64(nx),
 		cellH:    room.Height / float64(ny),
 		cells:    make([][]*Node, nx*ny),
-		shards:   make([]sparseShard, len(nw.APs)),
+		rowWords: (nx + 63) / 64,
 		nAPs:     len(nw.APs),
 		envEpoch: nw.Env.Epoch(),
 		bbMin:    channel.Vec2{},
 		bbMax:    channel.Vec2{X: room.Width, Y: room.Height},
 	}
-	for i := range s.shards {
-		s.shards[i].chans = make(map[float64]*chanState)
-	}
+	s.occBits = make([]uint64, s.rowWords*ny)
 	return s
 }
 
@@ -321,39 +285,27 @@ func (nw *Network) sparsePowerBoundConst() float64 {
 	return field * field * 1.1 // final safety factor on the power bound
 }
 
-// registerNode installs a node into the grid, the channel registry and
-// the noise tracking. It does not discover edges.
+// registerNode installs a node into the grid and the noise tracking and
+// anchors its power bound at its serving AP (a roam re-runs this after
+// the association flips). It does not discover edges; the node's gain
+// table and channel registration live in the host-channel index.
 func (s *sparseState) registerNode(nw *Network, n *Node) {
-	s.setGeometry(nw, n)
+	n.sp.pBound = s.pBoundAt(n.Pose.Pos, nw.hostAP(n))
+	s.noteNoise(n)
+	s.gridInsert(n)
+}
+
+// noteNoise refreshes the node's receiver noise floor (bandwidth-
+// dependent) and the network-wide minimum the class screen uses.
+func (s *sparseState) noteNoise(n *Node) {
 	n.sp.noise = n.Link.Cfg.NoisePowerW()
 	if n.sp.noise < s.minNoise {
 		s.minNoise = n.sp.noise
 	}
-	s.gridInsert(n)
-	s.chanRegister(n)
-}
-
-// setGeometry refreshes everything derived from the node's pose and its
-// serving AP: its TMA gain table (at the angle of arrival at THAT AP),
-// its avec suppression vector, and its power bound (anchored at that
-// AP). A roam re-runs this through registerNode after the association
-// flips.
-func (s *sparseState) setGeometry(nw *Network, n *Node) {
-	ap := nw.hostAP(n)
-	n.sp.tbl = ap.SDM.GainTable(ap.Pose.AngleTo(n.Pose.Pos))
-	if cap(n.sp.avec) < len(n.sp.tbl) {
-		n.sp.avec = make([]float64, len(n.sp.tbl))
-	}
-	n.sp.avec = n.sp.avec[:len(n.sp.tbl)]
-	own := cmplx.Abs(n.sp.tbl[n.SDMHarmonic+s.maxM])
-	for k := range n.sp.avec {
-		n.sp.avec[k] = tmaSuppressionDB(own, cmplx.Abs(n.sp.tbl[k]))
-	}
-	n.sp.pBound = s.pBoundAt(n.Pose.Pos, ap)
 }
 
 // pBoundAt anchors the conservative received-power bound at an arbitrary
-// AP — the cross-shard analogue of the pBound cached by setGeometry. The
+// AP — the cross-shard analogue of the pBound cached by registerNode. The
 // float operations are identical, so evaluated at a node's own serving
 // AP it reproduces the cached value bit-for-bit.
 func (s *sparseState) pBoundAt(p channel.Vec2, ap *AccessPoint) float64 {
@@ -394,6 +346,14 @@ func (s *sparseState) gridInsert(n *Node) {
 	n.sp.cell = c
 	n.sp.cellSlot = len(s.cells[c])
 	s.cells[c] = append(s.cells[c], n)
+	if len(s.cells[c]) == 1 {
+		s.occBits[s.bitWord(c)] |= 1 << uint(c%s.nx%64)
+	}
+}
+
+// bitWord is the occBits word holding cell c's occupancy bit.
+func (s *sparseState) bitWord(c int) int {
+	return c/s.nx*s.rowWords + c%s.nx/64
 }
 
 func (s *sparseState) gridRemove(n *Node) {
@@ -406,14 +366,21 @@ func (s *sparseState) gridRemove(n *Node) {
 	}
 	lst[last] = nil
 	s.cells[c] = lst[:last]
+	if last == 0 {
+		s.occBits[s.bitWord(c)] &^= 1 << uint(c%s.nx%64)
+	}
 }
 
 // forEachInDisc visits every node whose grid cell intersects the disc of
-// radius r around p. Cells are screened by rectangle-to-point distance;
-// individual nodes inside a surviving cell are NOT distance-filtered —
-// callers re-check admission exactly, so the disc only has to be a
-// superset.
-func (s *sparseState) forEachInDisc(p channel.Vec2, r float64, fn func(*Node)) {
+// radius r around p, cell by cell in row-major order. Only occupied cells
+// are visited: each row of the disc's bounding box is walked through the
+// occupancy bitmask, set bits in ascending column order, so the visiting
+// order is exactly that of a scan over every cell. Cells are screened by
+// rectangle-to-point distance; individual nodes inside a surviving cell
+// are NOT distance-filtered — callers re-check admission exactly, so the
+// disc only has to be a superset. It returns how many cells were visited
+// and how many nodes they held.
+func (s *sparseState) forEachInDisc(p channel.Vec2, r float64, fn func(*Node)) (cells, nodes int) {
 	ix0 := int(math.Floor((p.X - r) / s.cellW))
 	ix1 := int(math.Floor((p.X + r) / s.cellW))
 	iy0 := int(math.Floor((p.Y - r) / s.cellH))
@@ -430,119 +397,57 @@ func (s *sparseState) forEachInDisc(p channel.Vec2, r float64, fn func(*Node)) {
 	if iy1 >= s.ny {
 		iy1 = s.ny - 1
 	}
+	if ix0 > ix1 || iy0 > iy1 {
+		return 0, 0
+	}
 	r2 := r * r
+	w0, w1 := ix0/64, ix1/64
 	for iy := iy0; iy <= iy1; iy++ {
-		for ix := ix0; ix <= ix1; ix++ {
-			// Nearest point of the cell rectangle to p.
-			dx := 0.0
-			if x0 := float64(ix) * s.cellW; p.X < x0 {
-				dx = x0 - p.X
-			} else if x1 := float64(ix+1) * s.cellW; p.X > x1 {
-				dx = p.X - x1
+		row := s.occBits[iy*s.rowWords : (iy+1)*s.rowWords]
+		for w := w0; w <= w1; w++ {
+			word := row[w]
+			if lo := ix0 - 64*w; lo > 0 {
+				word &= ^uint64(0) << uint(lo)
 			}
-			dy := 0.0
-			if y0 := float64(iy) * s.cellH; p.Y < y0 {
-				dy = y0 - p.Y
-			} else if y1 := float64(iy+1) * s.cellH; p.Y > y1 {
-				dy = p.Y - y1
+			if hi := ix1 - 64*w; hi < 63 {
+				word &= ^uint64(0) >> uint(63-hi)
 			}
-			if dx*dx+dy*dy > r2 {
-				continue
-			}
-			for _, n := range s.cells[iy*s.nx+ix] {
-				fn(n)
-			}
-		}
-	}
-}
-
-// --- channel registry ---
-
-func (s *sparseState) chanRegister(n *Node) {
-	sh := &s.shards[n.apIndex()]
-	c := n.Assignment.CenterHz
-	cs := sh.chans[c]
-	if cs == nil {
-		slots := 2*s.maxM + 1
-		cs = &chanState{
-			center:  c,
-			ap:      n.apIndex(),
-			occ:     make([][]*Node, slots),
-			minA:    make([]float64, slots),
-			listIdx: len(sh.chanList),
-		}
-		for k := range cs.minA {
-			cs.minA[k] = math.Inf(1)
-		}
-		sh.chans[c] = cs
-		sh.chanList = append(sh.chanList, cs)
-	}
-	if n.Assignment.WidthHz > cs.maxWidth {
-		cs.maxWidth = n.Assignment.WidthHz
-	}
-	h := n.SDMHarmonic + s.maxM
-	n.sp.cs = cs
-	n.sp.chanHarm = h
-	n.sp.chanSlot = len(cs.occ[h])
-	cs.occ[h] = append(cs.occ[h], n)
-	cs.count++
-	for k := range cs.minA {
-		if n.sp.avec[k] < cs.minA[k] {
-			cs.minA[k] = n.sp.avec[k]
-		}
-	}
-}
-
-func (s *sparseState) chanUnregister(n *Node) {
-	cs := n.sp.cs
-	if cs == nil {
-		return
-	}
-	h, sl := n.sp.chanHarm, n.sp.chanSlot
-	lst := cs.occ[h]
-	last := len(lst) - 1
-	if sl != last {
-		lst[sl] = lst[last]
-		lst[sl].sp.chanSlot = sl
-	}
-	lst[last] = nil
-	cs.occ[h] = lst[:last]
-	cs.count--
-	cs.minADirty = true
-	n.sp.cs = nil
-	if cs.count == 0 {
-		sh := &s.shards[cs.ap]
-		li := cs.listIdx
-		lastC := len(sh.chanList) - 1
-		if li != lastC {
-			sh.chanList[li] = sh.chanList[lastC]
-			sh.chanList[li].listIdx = li
-		}
-		sh.chanList[lastC] = nil
-		sh.chanList = sh.chanList[:lastC]
-		delete(sh.chans, cs.center)
-	}
-}
-
-func (s *sparseState) rebuildMinA(cs *chanState) {
-	for k := range cs.minA {
-		cs.minA[k] = math.Inf(1)
-	}
-	for _, lst := range cs.occ {
-		for _, v := range lst {
-			for k := range cs.minA {
-				if v.sp.avec[k] < cs.minA[k] {
-					cs.minA[k] = v.sp.avec[k]
+			for word != 0 {
+				ix := 64*w + bits.TrailingZeros64(word)
+				word &= word - 1
+				// Nearest point of the cell rectangle to p.
+				dx := 0.0
+				if x0 := float64(ix) * s.cellW; p.X < x0 {
+					dx = x0 - p.X
+				} else if x1 := float64(ix+1) * s.cellW; p.X > x1 {
+					dx = p.X - x1
+				}
+				dy := 0.0
+				if y0 := float64(iy) * s.cellH; p.Y < y0 {
+					dy = y0 - p.Y
+				} else if y1 := float64(iy+1) * s.cellH; p.Y > y1 {
+					dy = p.Y - y1
+				}
+				if dx*dx+dy*dy > r2 {
+					continue
+				}
+				lst := s.cells[iy*s.nx+ix]
+				cells++
+				nodes += len(lst)
+				for _, n := range lst {
+					fn(n)
 				}
 			}
 		}
 	}
-	cs.minADirty = false
+	return cells, nodes
 }
+
+// --- channel screen ---
 
 // classBoundLinear is the conservative linear ceiling on the frequency
 // coupling factor between a channel at (c0,w0) and ANY occupant of the
-// registry channel cs: using cs.maxWidth in both the overlap and the
+// indexed channel cs: using cs.maxWidth in both the overlap and the
 // adjacency test can only move the classification toward the louder
 // class, so the returned bound dominates freqCouplingDB's per-pair
 // answer for every actual occupant width ≤ maxWidth.
@@ -553,9 +458,9 @@ func (nw *Network) classBoundLinear(c0, w0 float64, cs *chanState) float64 {
 		return 1 // could overlap: full collision is possible
 	}
 	if sep-half < math.Min(w0, cs.maxWidth) {
-		return units.FromDB(-nw.ACLRAdjacentDB)
+		return nw.aclrFactor(nw.ACLRAdjacentDB)
 	}
-	return units.FromDB(-nw.ACLRFarDB)
+	return nw.aclrFactor(nw.ACLRFarDB)
 }
 
 // --- edges ---
@@ -705,7 +610,7 @@ func (s *sparseState) discoverIn(nw *Network, v *Node) {
 	}
 	apV := nw.hostAP(v)
 	vi := apV.idx
-	s.forEachInDisc(apV.Pose.Pos, r, func(j *Node) {
+	cells, cands := s.forEachInDisc(apV.Pose.Pos, r, func(j *Node) {
 		if j == v {
 			return
 		}
@@ -716,11 +621,13 @@ func (s *sparseState) discoverIn(nw *Network, v *Node) {
 		if pb < threshold {
 			return
 		}
-		w := nw.pairCouplingLinear(v, j, j.sp.tbl)
+		w := nw.pairCouplingLinear(v, j)
 		if pb*w >= threshold {
 			s.addEdge(j, v, w)
 		}
 	})
+	nw.couplingStats.DiscCells += cells
+	nw.couplingStats.DiscCandidates += cands
 }
 
 // discoverOut finds every victim source u can reach, one shard at a
@@ -733,7 +640,7 @@ func (s *sparseState) discoverIn(nw *Network, v *Node) {
 // shards whose AP sits across the floor.
 func (s *sparseState) discoverOut(nw *Network, u *Node) {
 	ui := u.apIndex()
-	for ai := range s.shards {
+	for ai := range nw.APs {
 		pb := u.sp.pBound
 		if ai != ui {
 			pb = s.pBoundAt(u.Pose.Pos, nw.APs[ai])
@@ -741,7 +648,7 @@ func (s *sparseState) discoverOut(nw *Network, u *Node) {
 		if pb < s.cut*s.minNoise {
 			continue
 		}
-		for _, cs := range s.shards[ai].chanList {
+		for _, cs := range nw.hosts.channels(ai) {
 			wMax := nw.classBoundLinear(u.Assignment.CenterHz, u.Assignment.WidthHz, cs)
 			if pb*wMax < s.cut*s.minNoise {
 				continue
@@ -751,7 +658,7 @@ func (s *sparseState) discoverOut(nw *Network, u *Node) {
 					if v == u {
 						continue
 					}
-					w := nw.pairCouplingLinear(v, u, u.sp.tbl)
+					w := nw.pairCouplingLinear(v, u)
 					if pb*w >= s.cut*v.sp.noise {
 						s.addEdge(u, v, w)
 					}
@@ -770,41 +677,32 @@ func (s *sparseState) addNode(nw *Network, n *Node) {
 	s.markEvalStale(n)
 }
 
-func (s *sparseState) removeNode(nw *Network, n *Node) {
+func (s *sparseState) removeNode(n *Node) {
 	s.clearEdges(n)
 	s.gridRemove(n)
-	s.chanUnregister(n)
 	n.sp = spNode{}
 }
 
 // updateNode handles an assignment or SDM-role change at a fixed pose
-// (promotion, renew re-sync, reboot rejoin): re-register the channel,
-// refresh the noise floor (the bandwidth may have changed) and the avec
-// vector (a re-run handshake can land on a different harmonic), and
-// rebuild the node's edges both ways.
+// (promotion, renew re-sync, reboot rejoin): refresh the noise floor
+// (the bandwidth may have changed) and rebuild the node's edges both
+// ways against its new channel.
 func (s *sparseState) updateNode(nw *Network, n *Node) {
-	s.chanUnregister(n)
-	s.setGeometry(nw, n)
-	n.sp.noise = n.Link.Cfg.NoisePowerW()
-	if n.sp.noise < s.minNoise {
-		s.minNoise = n.sp.noise
-	}
-	s.chanRegister(n)
+	s.noteNoise(n)
 	s.clearEdges(n)
 	s.discoverIn(nw, n)
 	s.discoverOut(nw, n)
 	s.markEvalStale(n)
 }
 
-// moveNode handles a pose change: new gain table, avec and power bound,
-// new grid cell, possibly a new harmonic bucket, and a full edge rebuild
-// for the moved node (everyone else's edges are pose-independent).
+// moveNode handles a pose change: new power bound, new grid cell and a
+// full edge rebuild for the moved node (everyone else's edges are
+// pose-independent). The gain table and harmonic bucket were refreshed
+// through the host-channel index first.
 func (s *sparseState) moveNode(nw *Network, n *Node) {
 	s.gridRemove(n)
-	s.chanUnregister(n)
-	s.setGeometry(nw, n)
+	n.sp.pBound = s.pBoundAt(n.Pose.Pos, nw.hostAP(n))
 	s.gridInsert(n)
-	s.chanRegister(n)
 	s.clearEdges(n)
 	s.discoverIn(nw, n)
 	s.discoverOut(nw, n)
@@ -1025,83 +923,4 @@ func (s *sparseState) evaluateInto(nw *Network, out []Report) []Report {
 		out[i] = n.sp.rep
 	}
 	return out
-}
-
-// --- indexed bestHostChannel ---
-
-// bestHostChannel is the sparse-mode replacement for the dense
-// all-members scan: per channel, the worst-case suppression against a
-// newcomer at harmonic h and angle th is
-//
-//	min over occupants v of min(a_v, b_v)
-//	  = min( min_v a_v , min_v b_v )
-//	  = min( minA[h] , min over occupied slots k of bvec[k] )
-//
-// with a_v the occupant-side leak (precomputed avec vectors, folded into
-// the channel's minA) and b_v the newcomer-side leak (one bvec per
-// call). Float min is exact and order-free, and the final selection uses
-// the same strict total order on (suppression, occupants, center) as the
-// dense scan, so the result is bit-identical. The excluded node's
-// channel (a reboot or post-restart rejoin re-running the handshake)
-// falls back to a direct occupant scan. Only the admitting AP's shard is
-// walked — SDM sharing is an intra-array affair, so occupants of other
-// APs never constrain the choice (the dense scan skips them the same
-// way).
-func (s *sparseState) bestHostChannel(nw *Network, ap *AccessPoint, h int, th float64, exclude uint32) (float64, bool) {
-	chanList := s.shards[ap.idx].chanList
-	if len(chanList) == 0 {
-		return 0, false
-	}
-	tbl := ap.SDM.GainTable(th)
-	own := cmplx.Abs(tbl[h+s.maxM])
-	if cap(s.bvec) < len(tbl) {
-		s.bvec = make([]float64, len(tbl))
-	}
-	bvec := s.bvec[:len(tbl)]
-	for k := range bvec {
-		bvec[k] = tmaSuppressionDB(own, cmplx.Abs(tbl[k]))
-	}
-	exNode := nw.nodeIdx[exclude]
-	bestCenter, found := 0.0, false
-	bestSupp, bestOcc := 0.0, 0
-	for _, cs := range chanList {
-		occ := cs.count
-		var supp float64
-		if exNode != nil && exNode.sp.cs == cs {
-			occ--
-			if occ == 0 {
-				continue // the dense scan never sees an empty channel
-			}
-			supp = math.Inf(1)
-			for _, lst := range cs.occ {
-				for _, v := range lst {
-					if v == exNode {
-						continue
-					}
-					m := math.Min(v.sp.avec[h+s.maxM], bvec[v.sp.chanHarm])
-					if m < supp {
-						supp = m
-					}
-				}
-			}
-		} else {
-			if cs.minADirty {
-				s.rebuildMinA(cs)
-			}
-			supp = cs.minA[h+s.maxM]
-			for k, lst := range cs.occ {
-				if len(lst) > 0 && bvec[k] < supp {
-					supp = bvec[k]
-				}
-			}
-		}
-		better := !found ||
-			supp > bestSupp ||
-			(supp == bestSupp && occ < bestOcc) ||
-			(supp == bestSupp && occ == bestOcc && cs.center < bestCenter)
-		if better {
-			bestCenter, bestSupp, bestOcc, found = cs.center, supp, occ, true
-		}
-	}
-	return bestCenter, found
 }

@@ -68,6 +68,10 @@ type Node struct {
 	// every membership change so lookups and the incremental coupling
 	// paths never scan the slice. Stale the instant the node leaves.
 	idx int
+	// hc is the node's host-channel index entry (see hostchan.go): its
+	// gain table at its serving AP and its registered channel, kept by
+	// both coupling engines.
+	hc hostEntry
 	// sp is the node's sparse-coupling state (see coupling_sparse.go).
 	// Zero-valued and untouched while the network runs the dense matrix.
 	sp spNode
@@ -136,13 +140,21 @@ type Network struct {
 	// deterministic.
 	OnMembership func(event string, id uint32)
 	// coupling caches the pairwise coupling matrix as linear power
-	// factors (see coupling.go). couplingTables holds each node's TMA
-	// harmonic gain table at its angle of arrival, so membership and
-	// assignment changes update the matrix incrementally; the dirty flag
-	// falls back to the full rebuild.
-	coupling       []float64
-	couplingTables [][]complex128
-	couplingDirty  bool
+	// factors (see coupling.go), built on the first dense evaluation and
+	// updated incrementally after it; couplingDirty marks it unbuilt or
+	// untrusted, so the next evaluation runs the full rebuild.
+	coupling      []float64
+	couplingDirty bool
+	// couplingStats accumulates the bookkeeping work (CouplingStats).
+	couplingStats CouplingStats
+	// aclr caches the linear ACLR leakage factors for the pair kernel.
+	aclr aclrCache
+	// hosts is the host-channel index both coupling engines maintain
+	// (hostchan.go).
+	hosts chanIndex
+	// onHostPick, when non-nil, observes every host-channel selection
+	// with its result; tests check each pick against a reference scan.
+	onHostPick func(ap *AccessPoint, n *Node, center float64, ok bool)
 	// nodeIdx maps live node IDs to their membership entries, maintained
 	// on every membership change, so ID lookups are O(1) at any scale.
 	nodeIdx map[uint32]*Node
@@ -209,7 +221,9 @@ func NewWithBand(env *channel.Environment, apPose channel.Pose, seed uint64, ban
 		rng:            stats.NewRNG(seed),
 		nodeIdx:        make(map[uint32]*Node),
 		strays:         make(map[uint32]*AccessPoint),
+		couplingDirty:  true, // the dense cache is built on first read
 	}
+	nw.hosts.maxM = nw.SDM.MaxHarmonic()
 	nw.Controller.LeaseTTL = nw.Control.LeaseTTLS
 	// The registry's first entry aliases the legacy single-AP fields, so
 	// AP-0 state reads identically through either view.
@@ -302,7 +316,7 @@ func (nw *Network) Join(id uint32, pose channel.Pose, demandBps float64, traffic
 	ap := n.AP
 	// The TMA hashes each node's angle-of-arrival into a harmonic slot;
 	// the AP learns the slot when the node joins.
-	n.SDMHarmonic = ap.SDM.BestHarmonic(ap.Pose.AngleTo(pose.Pos))
+	nw.aim(n)
 	if _, err := nw.handshake(n, ap.Controller.NowS()); err != nil {
 		return nil, err
 	}
@@ -338,81 +352,6 @@ func (nw *Network) cappedRate(n *Node, rate float64) float64 {
 		return rateCap
 	}
 	return rate
-}
-
-// pairSuppressionDB returns the worse-direction TMA suppression between
-// two co-channel transmitters at the same AP: how far each one's energy
-// sits below the other's slot, given their harmonics and angles of
-// arrival at that AP's array.
-func (nw *Network) pairSuppressionDB(ap *AccessPoint, mi int, thI float64, mj int, thJ float64) float64 {
-	into := func(mVictim int, mOwn int, th float64) float64 {
-		own := cmplx.Abs(ap.SDM.HarmonicGain(mOwn, th))
-		leak := cmplx.Abs(ap.SDM.HarmonicGain(mVictim, th))
-		if own <= 0 {
-			return 0
-		}
-		if leak <= 0 {
-			return 150
-		}
-		s := 20 * math.Log10(own/leak)
-		if s < 0 {
-			s = 0
-		}
-		if s > 150 {
-			s = 150
-		}
-		return s
-	}
-	a := into(mi, mj, thJ) // j leaking into i's slot
-	b := into(mj, mi, thI) // i leaking into j's slot
-	return math.Min(a, b)
-}
-
-// bestHostChannel picks, among the channels live at AP ap, the one whose
-// occupants that AP's TMA can best separate from a newcomer at harmonic h
-// and angle th — maximizing the worst-case pairwise suppression. Only
-// nodes served by ap count as occupants: co-channel nodes at other APs
-// are interference bounded by distance, not schedule mates. The exclude
-// ID skips the newcomer itself, so a node re-running the handshake
-// (reboot, post-restart rejoin, roam fallback) doesn't count its own
-// stale entry as an occupant. ok is false when the AP hosts no channels
-// yet.
-func (nw *Network) bestHostChannel(ap *AccessPoint, h int, th float64, exclude uint32) (float64, bool) {
-	if nw.sparse != nil {
-		return nw.sparse.bestHostChannel(nw, ap, h, th, exclude)
-	}
-	type chanInfo struct {
-		worstSupp float64
-		occupants int
-	}
-	byCenter := map[float64]*chanInfo{}
-	for _, n := range nw.Nodes {
-		if n.ID == exclude || nw.hostAP(n) != ap {
-			continue
-		}
-		ci := byCenter[n.Assignment.CenterHz]
-		if ci == nil {
-			ci = &chanInfo{worstSupp: math.Inf(1)}
-			byCenter[n.Assignment.CenterHz] = ci
-		}
-		s := nw.pairSuppressionDB(ap, h, th, n.SDMHarmonic, ap.Pose.AngleTo(n.Pose.Pos))
-		if s < ci.worstSupp {
-			ci.worstSupp = s
-		}
-		ci.occupants++
-	}
-	bestCenter, found := 0.0, false
-	var best chanInfo
-	for c, ci := range byCenter {
-		better := !found ||
-			ci.worstSupp > best.worstSupp ||
-			(ci.worstSupp == best.worstSupp && ci.occupants < best.occupants) ||
-			(ci.worstSupp == best.worstSupp && ci.occupants == best.occupants && c < bestCenter)
-		if better {
-			bestCenter, best, found = c, *ci, true
-		}
-	}
-	return bestCenter, found
 }
 
 // Leave removes a node and releases its spectrum churn-safely: if the
@@ -492,8 +431,8 @@ func (nw *Network) applyPromotion(ap *AccessPoint, reply []byte) bool {
 
 // MoveNode repositions a live node (a camera carried across the room) and
 // refreshes everything pose-dependent: the OTAM link geometry, the node's
-// TMA harmonic slot, and the cached coupling matrix. The coupling refresh
-// is incremental — one gain table plus one row/column recompute
+// gain table and TMA harmonic slot, and the coupling state. The coupling
+// refresh is incremental — one gain table plus one row/column recompute
 // (couplingMoveNode), not the full-rebuild invalidation earlier revisions
 // paid per motion event. The association itself does not change here:
 // a node carried toward another AP re-homes at the roaming policy's next
@@ -511,8 +450,7 @@ func (nw *Network) MoveNode(id uint32, pose channel.Pose) bool {
 			l.Node = pose
 		}
 	}
-	ap := nw.hostAP(n)
-	n.SDMHarmonic = ap.SDM.BestHarmonic(ap.Pose.AngleTo(pose.Pos))
+	nw.aim(n)
 	nw.couplingMoveNode(n)
 	return true
 }
@@ -678,37 +616,6 @@ func tmaSuppressionDB(own, leak float64) float64 {
 		supp = 150
 	}
 	return supp
-}
-
-// couplingDB returns how many dB below its carrier node j's power lands in
-// node i's receiver: frequency separation for FDM, TMA harmonic leakage
-// for co-channel SDM pairs, and nothing at all — 0 dB, full collision —
-// for overlapping channels with no SDM party (the post-churn bug state;
-// earlier revisions granted such pairs phantom TMA suppression). This is
-// the reference implementation; the cached matrix built by ensureCoupling
-// stores FromDB(−couplingDB) per pair, bit-identical to linearizing this
-// value, via precomputed harmonic gain tables.
-func (nw *Network) couplingDB(i, j *Node) float64 {
-	if c, ok := nw.freqCouplingDB(i, j); ok {
-		return c
-	}
-	if i.apIndex() != j.apIndex() {
-		// Cross-AP co-channel: the interferer is not part of the victim
-		// AP's TMA schedule, so the array buys no separation — a full
-		// collision, mitigated only by distance (the power term).
-		return 0
-	}
-	if !i.SDMShared && !j.SDMShared {
-		return 0
-	}
-	// Co-channel at the same AP: separated spatially by that AP's TMA.
-	// Leakage is j's energy appearing at i's harmonic relative to j's
-	// own harmonic.
-	ap := nw.hostAP(j)
-	thJ := ap.Pose.AngleTo(j.Pose.Pos)
-	own := cmplx.Abs(ap.SDM.HarmonicGain(j.SDMHarmonic, thJ))
-	leak := cmplx.Abs(ap.SDM.HarmonicGain(i.SDMHarmonic, thJ))
-	return tmaSuppressionDB(own, leak)
 }
 
 // crossLink returns node n's cached link toward the AP at index a,

@@ -82,8 +82,8 @@ func (rs *runState) roamCandidate(n *Node) *AccessPoint {
 }
 
 // rehome points n's radio at ap: the serving link parks in the cross-link
-// cache, the cached link toward ap (if any) is promoted, and the TMA
-// harmonic is re-derived for the new angle of arrival. Spectrum state is
+// cache, the cached link toward ap (if any) is promoted, and the gain
+// table and TMA harmonic are re-derived for the new angle of arrival. Spectrum state is
 // untouched — callers run the handshake next.
 func (rs *runState) rehome(n *Node, ap *AccessPoint) {
 	nw := rs.nw
@@ -101,7 +101,7 @@ func (rs *runState) rehome(n *Node, ap *AccessPoint) {
 		n.Link = core.NewLink(nw.Env, n.Pose, ap.Pose)
 		n.Link.Beams = nw.NodeBeams
 	}
-	n.SDMHarmonic = ap.SDM.BestHarmonic(ap.Pose.AngleTo(n.Pose.Pos))
+	nw.aim(n)
 }
 
 // roamTo migrates n from its serving AP to target: release at the old AP

@@ -120,14 +120,16 @@ func TestSparseMatchesDenseChurnPlan(t *testing.T) {
 	}
 }
 
-// TestSparseAssignmentsMatchDense pins the indexed bestHostChannel
-// against the dense all-members scan: with a perfect side channel the
-// control plane draws no randomness, so if the indexed selection is
-// bit-identical the two modes must hand every joiner exactly the same
-// assignment, harmonic and sharing role — including the SDM host-channel
-// choices once FDM runs out.
+// TestSparseAssignmentsMatchDense checks every host-channel pick of both
+// engines against the reference all-members scan (hostChannelScan): with
+// a perfect side channel the control plane draws no randomness, so the
+// two modes must also hand every joiner exactly the same assignment,
+// harmonic and sharing role — including the SDM host-channel choices
+// once FDM runs out.
 func TestSparseAssignmentsMatchDense(t *testing.T) {
 	dense, sparse := sparseDensePair(1212)
+	densePicks := checkHostPicks(t, dense, "dense")
+	sparsePicks := checkHostPicks(t, sparse, "sparse")
 	rng := stats.NewRNG(5)
 	for i := 1; i <= 90; i++ {
 		pos := channel.Vec2{X: rng.Uniform(1, 5.5), Y: rng.Uniform(0.5, 3.5)}
@@ -140,6 +142,9 @@ func TestSparseAssignmentsMatchDense(t *testing.T) {
 		if i%7 == 0 { // owner/sharer leaves re-run host selection via promotion
 			applyBoth(dense, sparse, func(nw *Network) { nw.Leave(uint32(i / 2)) })
 		}
+	}
+	if *densePicks == 0 || *densePicks != *sparsePicks {
+		t.Fatalf("host picks: dense %d sparse %d", *densePicks, *sparsePicks)
 	}
 	if len(dense.Nodes) != len(sparse.Nodes) {
 		t.Fatalf("membership diverged: dense %d sparse %d", len(dense.Nodes), len(sparse.Nodes))
@@ -231,7 +236,7 @@ func TestSparseAutoCrossover(t *testing.T) {
 	if auto.sparse == nil {
 		t.Fatal("auto mode did not switch at the crossover")
 	}
-	if auto.coupling != nil || auto.couplingTables != nil {
+	if auto.coupling != nil {
 		t.Error("crossover should release the dense cache")
 	}
 	assertReportsClose(t, dense, auto, 1e-12, "post-crossover")
@@ -305,7 +310,7 @@ func TestSparseCutoffSoundness(t *testing.T) {
 			if src == v {
 				continue
 			}
-			w := nw.pairCouplingLinear(v, src, src.sp.tbl)
+			w := nw.pairCouplingLinear(v, src)
 			actual := src.sp.power * w
 			if _, ok := stored[[2]uint32{v.ID, src.ID}]; ok {
 				continue
@@ -319,7 +324,7 @@ func TestSparseCutoffSoundness(t *testing.T) {
 	// The stored edges must hold the exact kernel value, not the bound.
 	for key, w := range stored {
 		v, src := nw.nodeByID(key[0]), nw.nodeByID(key[1])
-		if want := nw.pairCouplingLinear(v, src, src.sp.tbl); w != want {
+		if want := nw.pairCouplingLinear(v, src); w != want {
 			t.Fatalf("edge %d<-%d stores w=%x, kernel says %x", key[0], key[1], w, want)
 		}
 	}
@@ -355,7 +360,7 @@ func TestSparseInterferenceErrorBounded(t *testing.T) {
 			if src == v {
 				continue
 			}
-			denseInterf += src.sp.power * nw.pairCouplingLinear(v, src, src.sp.tbl)
+			denseInterf += src.sp.power * nw.pairCouplingLinear(v, src)
 		}
 		dropped := (len(nw.Nodes) - 1) - len(v.sp.in)
 		bound := float64(dropped) * cut * v.Link.Cfg.NoisePowerW()

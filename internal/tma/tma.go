@@ -143,10 +143,26 @@ func (a *Array) MaxHarmonic() int { return a.N / 2 }
 // every co-channel pair needs gains at two harmonic indices per angle.
 // Each entry is bit-identical to the corresponding HarmonicGain call.
 func (a *Array) GainTable(theta float64) []complex128 {
+	return a.GainTableInto(nil, theta)
+}
+
+// GainTableInto is GainTable writing into dst's storage when it has room
+// for the table, so a caller refreshing one table in place allocates
+// nothing.
+func (a *Array) GainTableInto(dst []complex128, theta float64) []complex128 {
 	maxM := a.MaxHarmonic()
-	out := make([]complex128, 2*maxM+1)
+	out := dst[:0]
+	if cap(out) < 2*maxM+1 {
+		out = make([]complex128, 2*maxM+1)
+	}
+	out = out[:2*maxM+1]
 	phasePerElem := 2 * math.Pi * a.SpacingWl * math.Sin(theta)
-	phasors := make([]complex128, a.N)
+	var buf [32]complex128
+	phasors := buf[:0]
+	if a.N > len(buf) {
+		phasors = make([]complex128, a.N)
+	}
+	phasors = phasors[:a.N]
 	for n := 0; n < a.N; n++ {
 		phasors[n] = cmplx.Rect(1, phasePerElem*float64(n))
 	}
@@ -163,7 +179,12 @@ func (a *Array) GainTable(theta float64) []complex128 {
 // BestHarmonic returns the harmonic index whose response toward theta is
 // strongest — the frequency bin a transmitter at that angle lands in.
 func (a *Array) BestHarmonic(theta float64) int {
-	gt := a.GainTable(theta)
+	return a.StrongestHarmonic(a.GainTable(theta))
+}
+
+// StrongestHarmonic is BestHarmonic over an already computed GainTable:
+// the harmonic index of its largest-magnitude entry (ties to the lowest).
+func (a *Array) StrongestHarmonic(gt []complex128) int {
 	maxM := a.MaxHarmonic()
 	best, bestMag := 0, -1.0
 	for m := -maxM; m <= maxM; m++ {

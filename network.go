@@ -213,6 +213,13 @@ func (n *Network) SetRegionInvalidation(enabled bool) {
 // stale-everything fallbacks. Difference two snapshots to scope them.
 func (n *Network) RegionStats() RegionStats { return n.nw.RegionStats() }
 
+// CouplingStats returns the deterministic work counters of interference
+// bookkeeping accumulated over the network's life: dense pair kernels,
+// dense matrix allocations and the floats they reserved, and the sparse
+// core's discovery cells and candidates. Difference two snapshots to
+// scope them.
+func (n *Network) CouplingStats() CouplingStats { return n.nw.CouplingStats() }
+
 // SetCouplingCutoff sets the sparse core's edge-admission threshold,
 // in dB relative to each victim's noise floor: a pair whose worst-case
 // coupled power is provably below noise·10^(cutoffDB/10) is never
@@ -260,6 +267,10 @@ type RunStats = simnet.RunStats
 // RegionStats mirrors simnet's blockage-invalidation work counters
 // (Network.RegionStats).
 type RegionStats = simnet.RegionStats
+
+// CouplingStats mirrors simnet's interference-bookkeeping work counters
+// (Network.CouplingStats).
+type CouplingStats = simnet.CouplingStats
 
 // ControlStats mirrors simnet's control-plane fault accounting.
 type ControlStats = simnet.ControlStats
